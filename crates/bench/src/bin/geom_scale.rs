@@ -12,6 +12,8 @@
 //! Usage: `cargo run -p isrl-bench --release --bin geom_scale [-- out.json]`
 //! (run from the repository root so the artifact lands next to ROADMAP.md).
 
+use std::sync::Arc;
+
 use isrl_bench::report::{f2, Table};
 use isrl_core::prelude::*;
 use isrl_data::{generate, Dataset, Distribution};
@@ -45,10 +47,11 @@ fn per_round_full(
 }
 
 /// Steps an exact-backend EA session for at most `cap` rounds per user —
-/// the bounded-prefix measurement the d = 20 exact row needs.
+/// the bounded-prefix measurement the d = 20 exact row needs. Session `i`
+/// is seeded like `per_round_full`'s `reseed`.
 fn per_round_capped(
-    ea: &mut EaAgent,
-    data: &Dataset,
+    policy: &Arc<ServePolicy>,
+    data: &Arc<Dataset>,
     users: &[Vec<f64>],
     eps: f64,
     cap: usize,
@@ -56,12 +59,17 @@ fn per_round_capped(
     let mut rounds = 0usize;
     let mut secs = 0.0f64;
     for (i, u) in users.iter().enumerate() {
-        ea.reseed(0x5eed + i as u64);
-        let mut session = ea.start_session(data, eps);
+        let mut session =
+            ServeSession::new(Arc::clone(policy), Arc::clone(data), eps, 0x5eed + i as u64)
+                .expect("a valid session");
+        session.step_blocking();
         while !session.is_finished() && session.rounds() < cap {
             let (p_i, p_j) = session.current_points().expect("unfinished session");
             let prefers_first = vector::dot(u, p_i) >= vector::dot(u, p_j);
-            session.answer(prefers_first);
+            session
+                .answer(prefers_first)
+                .expect("a question is pending");
+            session.step_blocking();
         }
         rounds += session.rounds();
         secs += session.elapsed().as_secs_f64();
@@ -128,12 +136,12 @@ fn main() {
     // workload whose measured per-round cost (1427.9 ms at the time the
     // sampled backend landed) set the 10x acceptance bar.
     let d = 20usize;
-    let data = generate(n, d, Distribution::AntiCorrelated, 1);
+    let data = Arc::new(generate(n, d, Distribution::AntiCorrelated, 1));
     let users = sample_users(d, 4, 6);
     let mut cfg = EaConfig::paper_default().with_seed(7);
     cfg.geometry = GeometryBackend::Exact;
-    let mut ea = EaAgent::new(d, cfg);
-    let m = per_round_capped(&mut ea, &data, &users, eps, 6);
+    let policy = Arc::new(ServePolicy::Ea(EaAgent::new(d, cfg)));
+    let m = per_round_capped(&policy, &data, &users, eps, 6);
     eprintln!(
         "exact d={d} (first6): {:.2} rounds, {:.3} ms/round ({:.1}s total)",
         m.0, m.1, m.2

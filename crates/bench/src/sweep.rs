@@ -4,7 +4,8 @@
 
 use isrl_core::prelude::*;
 use isrl_data::{real, skyline, synthetic, Dataset, Distribution};
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Skyline preprocessing is skipped above this dimensionality: in high
 /// dimension nearly every anti-correlated point is a skyline point, so the
@@ -212,6 +213,28 @@ fn worker_count(items: usize) -> usize {
         .min(items.max(1))
 }
 
+/// A sweep lock is poisoned only after another worker panicked; the scope
+/// re-raises that panic.
+const POISONED: &str = "a sweep worker panicked";
+
+/// Runs `work` over `items` on a fixed pool of scoped workers. Each worker
+/// claims the next unclaimed item through a shared cursor, so items start
+/// in queue order whatever the pool size.
+fn drain<T: Copy + Sync>(items: &[T], work: impl Fn(T) + Sync) {
+    // The cursor publishes no other data (`items` is shared read-only), so
+    // `Relaxed` suffices: each index is claimed by exactly one worker.
+    let cursor = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..worker_count(items.len()) {
+            scope.spawn(|| {
+                while let Some(&item) = items.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                    work(item);
+                }
+            });
+        }
+    });
+}
+
 /// The work-queue core shared by [`run_algos`] and [`run_sweep`]: trains
 /// every (cell × algorithm) pair, then evaluates (cell × algorithm × user)
 /// items, both phases drained by a fixed worker pool.
@@ -241,74 +264,57 @@ fn run_cells(
         .iter()
         .map(|(_, _, kinds)| kinds.iter().map(|_| Mutex::new(None)).collect())
         .collect();
-    let train_queue: crossbeam::queue::SegQueue<(usize, usize)> = crossbeam::queue::SegQueue::new();
-    for (c, (_, _, kinds)) in cells.iter().enumerate() {
-        for a in 0..kinds.len() {
-            train_queue.push((c, a));
-        }
-    }
-    crossbeam::scope(|scope| {
-        for _ in 0..worker_count(train_queue.len()) {
-            scope.spawn(|_| {
-                while let Some((c, a)) = train_queue.pop() {
-                    let (data, eps, kinds) = cells[c];
-                    *agents[c][a].lock() = Some(make_algo(kinds[a], data, eps, params));
-                }
-            });
-        }
-    })
-    .expect("training worker panicked");
+    let train_items: Vec<(usize, usize)> = cells
+        .iter()
+        .enumerate()
+        .flat_map(|(c, (_, _, kinds))| (0..kinds.len()).map(move |a| (c, a)))
+        .collect();
+    drain(&train_items, |(c, a)| {
+        let (data, eps, kinds) = cells[c];
+        *agents[c][a].lock().expect(POISONED) = Some(make_algo(kinds[a], data, eps, params));
+    });
 
     // Phase 2 — evaluation queue over (cell, algo, user).
     type UserResult = (usize, usize, usize, InteractionOutcome, f64);
-    let eval_queue: crossbeam::queue::SegQueue<(usize, usize, usize)> =
-        crossbeam::queue::SegQueue::new();
-    for (c, (_, _, kinds)) in cells.iter().enumerate() {
-        for a in 0..kinds.len() {
-            for u in 0..users[c].len() {
-                eval_queue.push((c, a, u));
-            }
-        }
-    }
+    let eval_items: Vec<(usize, usize, usize)> = cells
+        .iter()
+        .enumerate()
+        .flat_map(|(c, (_, _, kinds))| {
+            let users = users[c].len();
+            (0..kinds.len()).flat_map(move |a| (0..users).map(move |u| (c, a, u)))
+        })
+        .collect();
     let results: Mutex<Vec<UserResult>> = Mutex::new(Vec::new());
-    crossbeam::scope(|scope| {
-        for _ in 0..worker_count(eval_queue.len()) {
-            scope.spawn(|_| {
-                while let Some((c, a, u)) = eval_queue.pop() {
-                    let (data, eps, kinds) = cells[c];
-                    let truth = &users[c][u];
-                    let mut guard = agents[c][a].lock();
-                    let algo = guard.as_mut().expect("trained in phase 1");
-                    algo.reseed(item_seed(params.seed, c, a, u));
-                    let mut user = SimulatedUser::new(truth.clone());
-                    let out = algo.run(data, &mut user, eps, TraceMode::Off);
-                    drop(guard);
-                    let regret =
-                        isrl_core::regret::regret_ratio_of_index(data, out.point_index, truth);
-                    if isrl_obs::enabled() {
-                        // Schema (DESIGN.md §9) wants a human-readable cell
-                        // label; cells here are anonymous, so derive one.
-                        let cell = format!("c{c}_d{}_n{}_eps{eps}", data.dim(), data.len());
-                        isrl_obs::emit(
-                            isrl_obs::Event::new("sweep_item")
-                                .field("cell", cell)
-                                .field("algo", kinds[a].name())
-                                .field("user", u as u64)
-                                .field("rounds", out.rounds as u64)
-                                .field("secs", out.elapsed.as_secs_f64())
-                                .field("regret", regret)
-                                .field("truncated", out.truncated),
-                        );
-                    }
-                    results.lock().push((c, a, u, out, regret));
-                }
-            });
+    drain(&eval_items, |(c, a, u)| {
+        let (data, eps, kinds) = cells[c];
+        let truth = &users[c][u];
+        let mut guard = agents[c][a].lock().expect(POISONED);
+        let algo = guard.as_mut().expect("trained in phase 1");
+        algo.reseed(item_seed(params.seed, c, a, u));
+        let mut user = SimulatedUser::new(truth.clone());
+        let out = algo.run(data, &mut user, eps, TraceMode::Off);
+        drop(guard);
+        let regret = isrl_core::regret::regret_ratio_of_index(data, out.point_index, truth);
+        if isrl_obs::enabled() {
+            // Schema (DESIGN.md §9) wants a human-readable cell
+            // label; cells here are anonymous, so derive one.
+            let cell = format!("c{c}_d{}_n{}_eps{eps}", data.dim(), data.len());
+            isrl_obs::emit(
+                isrl_obs::Event::new("sweep_item")
+                    .field("cell", cell)
+                    .field("algo", kinds[a].name())
+                    .field("user", u as u64)
+                    .field("rounds", out.rounds as u64)
+                    .field("secs", out.elapsed.as_secs_f64())
+                    .field("regret", regret)
+                    .field("truncated", out.truncated),
+            );
         }
-    })
-    .expect("evaluation worker panicked");
+        results.lock().expect(POISONED).push((c, a, u, out, regret));
+    });
 
     // Reassemble per-(cell, algo) evaluations in user order.
-    let mut per_user = results.into_inner();
+    let mut per_user = results.into_inner().expect(POISONED);
     per_user.sort_by_key(|&(c, a, u, _, _)| (c, a, u));
     let mut out: Vec<Vec<(AlgoKind, Evaluation)>> = cells
         .iter()

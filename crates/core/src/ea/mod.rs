@@ -9,27 +9,23 @@
 //! ε for the user's true utility vector wherever it is in `R`.
 
 mod actions;
-mod session;
 mod state;
 mod terminal;
 
 pub use actions::{build_action_space, encode_question};
-pub use session::EaSession;
 pub use state::{EaStateEncoder, StateVariant};
 pub use terminal::{check_terminal, in_terminal_polyhedron, terminal_points};
+pub(crate) use terminal::{distinct, terminal_anchor};
 
-use crate::interaction::{
-    InteractionOutcome, InteractiveAlgorithm, Question, RoundTrace, Stopwatch, TraceMode,
-};
-use crate::telemetry::{emit_episode_event, emit_round_event, EpisodeProfile};
+use crate::interaction::{InteractionOutcome, InteractiveAlgorithm, Question, TraceMode};
+use crate::round::{self, Algo, Learner};
 use crate::user::User;
-use crate::watchdog::TrainingWatchdog;
 use isrl_data::Dataset;
-use isrl_geometry::{sampling, GeometryBackend, Halfspace, RegionGeometry, WalkConfig};
+use isrl_geometry::{sampling, GeometryBackend, RegionGeometry, WalkConfig};
 use isrl_linalg::vector;
-use isrl_rl::{Dqn, DqnConfig, EpsilonSchedule, NextState, Transition};
+use isrl_rl::{Dqn, DqnConfig, EpsilonSchedule};
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 
 /// Hyper-parameters of [`EaAgent`]. `paper_default` reproduces §V.
 #[derive(Debug, Clone)]
@@ -145,20 +141,15 @@ impl TrainReport {
     }
 }
 
-/// Everything EA derives from the current utility range in one round.
-struct Observation {
-    terminal: Option<usize>,
-    state: Vec<f64>,
-    questions: Vec<Question>,
-    action_feats: Vec<Vec<f64>>,
-    fallback_best: usize,
-}
-
-/// The scan-free opening of an EA round, split out of [`EaAgent::observe`]
-/// for the serving path (`crate::serving`): the region's point set (vertex
-/// set or sample cloud), its DQN state encoding, and the utility vectors
-/// whose dataset top-1 scans are needed first — laid out `[points..,
-/// centroid]`. No dataset access and no RNG draw happens here, so a
+/// The scan-free opening of an EA round (see `crate::round`): the region's
+/// point set, its DQN state encoding, and the utility vectors whose dataset
+/// top-1 scans are needed first — laid out `[points.., centroid]`. The
+/// point set standing for the region is the vertex set on the exact
+/// backend, read straight off the incrementally maintained polytope, and
+/// the hit-and-run cloud on the sampled backend (anchors first: the
+/// axis-extent LP optimizers are true region vertices, so the terminal
+/// check and state encoding see the extremes a uniform interior sample
+/// misses). No dataset access and no RNG draw happens here, so a
 /// cross-user batcher can coalesce many sessions' scans into one
 /// `top1_batch` call. Returns `None` when the region has collapsed.
 pub(crate) fn ea_phase1(
@@ -177,63 +168,13 @@ pub(crate) fn ea_phase1(
     Some((state, utilities))
 }
 
-/// What the phase-1 scan results decide: terminal status, the fallback
-/// recommendation, and the distinct region-point argmaxes (anchor set).
-pub(crate) struct EaVerdict {
-    /// Lemma 6 verdict: the certified anchor, when the region is terminal.
-    pub(crate) terminal: Option<usize>,
-    /// The centroid's top-1 index (recommendation when not terminal).
-    pub(crate) fallback_best: usize,
-    /// Distinct top-1 indices over the region points, first-appearance
-    /// order — `terminal_points` of the point set.
-    pub(crate) anchors: Vec<usize>,
-}
-
-/// Consumes the scan results for [`ea_phase1`]'s utility list (`top1[k]`
-/// answers `utilities[k]`; the centroid is last) and runs the terminal
-/// check. Mirrors [`check_terminal`] exactly — single-anchor fast path,
-/// then the per-anchor ε-hyperplane membership sweep (the only remaining
-/// dataset work, which stays session-local).
-pub(crate) fn ea_verdict(
-    data: &Dataset,
-    points: &[Vec<f64>],
-    top1: &[isrl_linalg::Top1],
-    eps: f64,
-) -> EaVerdict {
-    debug_assert_eq!(points.len() + 1, top1.len());
-    let mut anchors: Vec<usize> = Vec::new();
-    for t in &top1[..points.len()] {
-        if !anchors.contains(&t.index) {
-            anchors.push(t.index);
-        }
-    }
-    let terminal = {
-        let _t = isrl_obs::span("terminal_check");
-        if anchors.len() == 1 {
-            Some(anchors[0])
-        } else {
-            anchors.iter().copied().find(|&a| {
-                points
-                    .iter()
-                    .all(|e| in_terminal_polyhedron(data, a, e, eps))
-            })
-        }
-    };
-    EaVerdict {
-        terminal,
-        fallback_best: top1[points.len()].index,
-        anchors,
-    }
-}
-
-/// The exact backend's extra sample draw for V (Lemma 5/6), in the inline
-/// path's exact order: rejection sampling, then the vertex-mixture
-/// fallback on underfill (flagging the `ea.sample_fallbacks` warning
-/// counter). The caller appends the vertices themselves by chaining the
-/// phase-1 scan results — matching `samples.extend(vertices)` inline.
+/// The exact backend's extra sample draw for V (Lemma 5/6): rejection
+/// sampling, then the vertex-mixture fallback on underfill (flagging the
+/// `ea.sample_fallbacks` warning counter). The caller appends the vertices
+/// themselves by chaining the phase-1 scan results. The sampled backend
+/// skips this: its cloud already is a uniform sample of R.
 pub(crate) fn ea_sample_extras(
     cfg: &EaConfig,
-    dim: usize,
     geom: &RegionGeometry,
     points: &[Vec<f64>],
     rng: &mut StdRng,
@@ -241,7 +182,7 @@ pub(crate) fn ea_sample_extras(
     let mut samples = {
         let _s = isrl_obs::span("sampling");
         sampling::sample_region_rejection(
-            dim,
+            geom.dim(),
             geom.region().halfspaces(),
             cfg.n_samples,
             cfg.n_samples * 10,
@@ -257,24 +198,20 @@ pub(crate) fn ea_sample_extras(
     samples
 }
 
-/// Builds the candidate action space from `P_R` with the inline path's
-/// exhaustion retry, plus the per-question features.
+/// Builds the candidate action space from `P_R`. When every unasked pair
+/// is exhausted, re-asking is permitted rather than stalling (the DQN picks
+/// the most informative repeat).
 pub(crate) fn ea_actions(
     cfg: &EaConfig,
-    data: &Dataset,
     p_r: &[usize],
     asked: &[(usize, usize)],
     rng: &mut StdRng,
-) -> (Vec<Question>, Vec<Vec<f64>>) {
-    let mut questions = build_action_space(p_r, cfg.m_h, asked, rng);
+) -> Vec<Question> {
+    let questions = build_action_space(p_r, cfg.m_h, asked, rng);
     if questions.is_empty() && p_r.len() >= 2 {
-        questions = build_action_space(p_r, cfg.m_h, &[], rng);
+        return build_action_space(p_r, cfg.m_h, &[], rng);
     }
-    let action_feats = questions
-        .iter()
-        .map(|&q| encode_question(data, q))
-        .collect();
-    (questions, action_feats)
+    questions
 }
 
 /// The exact RL interactive agent.
@@ -283,13 +220,7 @@ pub struct EaAgent {
     cfg: EaConfig,
     dim: usize,
     encoder: EaStateEncoder,
-    dqn: Dqn,
-    rng: StdRng,
-    episodes_trained: u64,
-    /// Mean TD loss over the most recent learning episode (`None` until the
-    /// replay buffer can fill a minibatch). Feeds the `episode` telemetry
-    /// event stream.
-    last_episode_loss: Option<f64>,
+    learner: Learner,
 }
 
 impl EaAgent {
@@ -304,16 +235,16 @@ impl EaAgent {
         dqn_cfg.batch_size = cfg.batch_size;
         dqn_cfg.target_sync_every = cfg.target_sync_every;
         dqn_cfg.use_adam = cfg.use_adam;
-        let dqn = Dqn::new(dqn_cfg);
-        let rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(2));
+        let learner = Learner {
+            dqn: Dqn::new(dqn_cfg),
+            rng: StdRng::seed_from_u64(cfg.seed.wrapping_add(2)),
+            episodes_trained: 0,
+        };
         Self {
             cfg,
             dim,
             encoder,
-            dqn,
-            rng,
-            episodes_trained: 0,
-            last_episode_loss: None,
+            learner,
         }
     }
 
@@ -324,12 +255,12 @@ impl EaAgent {
 
     /// Episodes trained so far.
     pub fn episodes_trained(&self) -> u64 {
-        self.episodes_trained
+        self.learner.episodes_trained
     }
 
     /// Access to the underlying DQN (checkpointing).
     pub fn dqn(&self) -> &Dqn {
-        &self.dqn
+        &self.learner.dqn
     }
 
     /// Dimensionality the agent was built for.
@@ -337,16 +268,16 @@ impl EaAgent {
         self.dim
     }
 
-    /// The state encoder (shared read-only by serving sessions).
-    pub(crate) fn encoder(&self) -> &EaStateEncoder {
-        &self.encoder
+    /// The read-only half the round steps consult.
+    pub(crate) fn algo(&self) -> Algo<'_> {
+        Algo::Ea(&self.cfg, &self.encoder)
     }
 
     /// Restores trained Q-network parameters and the episode counter
     /// (checkpoint loading; see `crate::checkpoint`).
     pub fn restore(&mut self, params: &[f64], episodes_trained: u64) {
-        self.dqn.load_params(params);
-        self.episodes_trained = episodes_trained;
+        self.learner.dqn.load_params(params);
+        self.learner.episodes_trained = episodes_trained;
     }
 
     /// Overrides the region-geometry backend (e.g. from the CLI after a
@@ -356,319 +287,11 @@ impl EaAgent {
         self.cfg.geometry = backend;
     }
 
-    /// Fresh per-episode geometry for the configured backend. The sampled
-    /// backend draws its cloud seed from the agent RNG, so episodes remain
-    /// deterministic under [`InteractiveAlgorithm::reseed`]; the exact path
-    /// consumes no randomness (identical behavior to before the backend
-    /// existed).
-    fn new_geometry(&mut self) -> RegionGeometry {
-        if self.cfg.geometry.resolves_to_sampled(self.dim) {
-            RegionGeometry::sampled(self.dim, self.cfg.walk, self.rng.next_u64())
-        } else {
-            RegionGeometry::exact(self.dim)
-        }
-    }
-
-    /// Derives state, terminal status, and the candidate action space from
-    /// the current region geometry. On the exact backend the point set
-    /// standing for the region is the vertex set, read straight off the
-    /// incrementally-maintained polytope — no re-enumeration per round; on
-    /// the sampled backend it is the hit-and-run cloud, so no vertex is
-    /// ever enumerated. Returns `None` when the region has collapsed.
-    fn observe(
-        &mut self,
-        data: &Dataset,
-        geom: &RegionGeometry,
-        eps: f64,
-        asked: &[(usize, usize)],
-    ) -> Option<Observation> {
-        let sampled = geom.is_sampled();
-        let points: Vec<Vec<f64>> = if sampled {
-            // Anchors first: the axis-extent LP optimizers are true region
-            // vertices, so the terminal check and state encoding see the
-            // extremes a uniform interior sample systematically misses
-            // (without them the Monte-Carlo terminal check fires early).
-            geom.sample_cloud()?.all_points()
-        } else {
-            geom.polytope()?.vertices().to_vec()
-        };
-        let terminal = {
-            let _t = isrl_obs::span("terminal_check");
-            check_terminal(data, &points, eps)
-        };
-
-        let centroid = vector::mean(&points);
-        let fallback_best = {
-            let _t = isrl_obs::span("top1");
-            data.argmax_utility(&centroid)
-        };
-        let state = self.encoder.encode_points(&points);
-
-        if terminal.is_some() {
-            return Some(Observation {
-                terminal,
-                state,
-                questions: Vec::new(),
-                action_feats: Vec::new(),
-                fallback_best,
-            });
-        }
-
-        // Build V (Lemma 5/6). Exact backend: sampled utility vectors
-        // (rejection, then vertex-mixture fallback) plus the extreme
-        // utility vectors of R. Sampled backend: the cloud *is* already a
-        // uniform sample of R — reuse it directly, skipping rejection (and
-        // with it any chance of tripping the `ea.sample_fallbacks`
-        // warning counter on small high-d regions).
-        let samples = if sampled {
-            points
-        } else {
-            let vertices = points;
-            let mut samples = {
-                let _s = isrl_obs::span("sampling");
-                sampling::sample_region_rejection(
-                    self.dim,
-                    geom.region().halfspaces(),
-                    self.cfg.n_samples,
-                    self.cfg.n_samples * 10,
-                    &mut self.rng,
-                )
-            };
-            if samples.len() < self.cfg.n_samples {
-                isrl_obs::add("ea.sample_fallbacks", 1);
-                let _s = isrl_obs::span("sampling");
-                let need = self.cfg.n_samples - samples.len();
-                samples.extend(sampling::sample_vertex_mixture(
-                    &vertices,
-                    need,
-                    &mut self.rng,
-                ));
-            }
-            samples.extend(vertices);
-            samples
-        };
-        let p_r = {
-            let _t = isrl_obs::span("top1");
-            terminal_points(data, samples.iter())
-        };
-
-        let mut questions = build_action_space(&p_r, self.cfg.m_h, asked, &mut self.rng);
-        if questions.is_empty() && p_r.len() >= 2 {
-            // Every unasked pair is exhausted; permit re-asking rather than
-            // stalling (the DQN will pick the most informative repeat).
-            questions = build_action_space(&p_r, self.cfg.m_h, &[], &mut self.rng);
-        }
-        let action_feats = questions
-            .iter()
-            .map(|&q| encode_question(data, q))
-            .collect();
-        Some(Observation {
-            terminal: None,
-            state,
-            questions,
-            action_feats,
-            fallback_best,
-        })
-    }
-
-    /// Runs one interaction episode. `answer` is the preference oracle;
-    /// `explore_eps` is the ε-greedy rate (0 for pure inference);
-    /// `learn` enables replay writes and gradient steps.
-    fn episode(
-        &mut self,
-        data: &Dataset,
-        answer: &mut dyn FnMut(&[f64], &[f64]) -> bool,
-        eps: f64,
-        explore_eps: f64,
-        learn: bool,
-        trace_mode: TraceMode,
-    ) -> InteractionOutcome {
-        assert_eq!(data.dim(), self.dim, "dataset dimension mismatch");
-        assert!(!data.is_empty(), "cannot interact over an empty dataset");
-        let sw = Stopwatch::start();
-        let mut profile = EpisodeProfile::begin("EA");
-        let mut geom = self.new_geometry();
-        let mut asked: Vec<(usize, usize)> = Vec::new();
-        let mut trace: Vec<RoundTrace> = Vec::new();
-        let mut rounds = 0usize;
-        let mut loss_sum = 0.0;
-        let mut loss_n = 0u64;
-        self.last_episode_loss = None;
-
-        let mut obs = self
-            .observe(data, &geom, eps, &asked)
-            .expect("the full utility simplex always has a point set");
-
-        loop {
-            if let Some(p) = obs.terminal {
-                return InteractionOutcome {
-                    point_index: p,
-                    rounds,
-                    elapsed: sw.elapsed(),
-                    trace,
-                    truncated: false,
-                };
-            }
-            if obs.questions.is_empty() || rounds >= self.cfg.max_rounds {
-                return InteractionOutcome {
-                    point_index: obs.fallback_best,
-                    rounds,
-                    elapsed: sw.elapsed(),
-                    trace,
-                    truncated: true,
-                };
-            }
-
-            // Phase timings are collected per round (into the trace and the
-            // `round` event stream) whenever either consumer is active.
-            let record = trace_mode.should_trace(rounds + 1) || isrl_obs::enabled();
-            if record {
-                isrl_obs::round_begin();
-            }
-            let round_started = sw.elapsed();
-
-            let idx = {
-                let _nn = isrl_obs::span("nn");
-                if learn {
-                    self.dqn
-                        .select_action(&obs.state, &obs.action_feats, explore_eps)
-                } else {
-                    self.dqn.best_action(&obs.state, &obs.action_feats).0
-                }
-            };
-            let q = obs.questions[idx];
-            let prefers_i = answer(data.point(q.i), data.point(q.j));
-            let (win, lose) = if prefers_i { (q.i, q.j) } else { (q.j, q.i) };
-            asked.push((q.i.min(q.j), q.i.max(q.j)));
-            rounds += 1;
-            profile.set_rounds(rounds);
-            let support_before = geom.support_size();
-            if let Some(h) = Halfspace::preferring(data.point(win), data.point(lose)) {
-                geom.add(h);
-            }
-
-            let next_obs = match self.observe(data, &geom, eps, &asked) {
-                None => {
-                    // Region numerically collapsed — finish on the last
-                    // known recommendation.
-                    if record {
-                        isrl_obs::round_end();
-                    }
-                    return InteractionOutcome {
-                        point_index: obs.fallback_best,
-                        rounds,
-                        elapsed: sw.elapsed(),
-                        trace,
-                        truncated: true,
-                    };
-                }
-                Some(next_obs) => next_obs,
-            };
-
-            if learn {
-                let reached_terminal = next_obs.terminal.is_some();
-                let dead_end = next_obs.questions.is_empty();
-                let transition = Transition {
-                    state: std::mem::take(&mut obs.state),
-                    action: obs.action_feats[idx].clone(),
-                    reward: if reached_terminal {
-                        self.cfg.reward_c
-                    } else {
-                        0.0
-                    },
-                    next: if reached_terminal || dead_end {
-                        None
-                    } else {
-                        Some(NextState {
-                            state: next_obs.state.clone(),
-                            actions: next_obs.action_feats.clone(),
-                        })
-                    },
-                };
-                self.dqn.push_transition(transition);
-                for _ in 0..self.cfg.train_steps_per_round.max(1) {
-                    if let Some(loss) = self.dqn.train_step() {
-                        loss_sum += loss;
-                        loss_n += 1;
-                    }
-                }
-                if loss_n > 0 {
-                    self.last_episode_loss = Some(loss_sum / loss_n as f64);
-                }
-            }
-
-            if record {
-                let phases = isrl_obs::round_end();
-                let support_after = geom.support_size();
-                let volume = geom.volume_proxy();
-                if isrl_obs::enabled() {
-                    emit_round_event(
-                        "EA",
-                        rounds,
-                        Some(q),
-                        sw.elapsed(),
-                        (sw.elapsed() - round_started).as_secs_f64() * 1e3,
-                        support_before,
-                        support_after,
-                        volume,
-                        &phases,
-                    );
-                }
-                if trace_mode.should_trace(rounds) {
-                    let mut t = RoundTrace::new(
-                        rounds,
-                        sw.elapsed(),
-                        next_obs.terminal.unwrap_or(next_obs.fallback_best),
-                        geom.region().clone(),
-                    );
-                    t.phases = phases;
-                    t.vertex_count = support_after;
-                    t.volume_proxy = volume;
-                    trace.push(t);
-                }
-            }
-            obs = next_obs;
-        }
-    }
-
     /// Trains the agent on simulated users (Algorithm 1): one episode per
     /// training utility vector, ε-greedy per the configured schedule.
     pub fn train(&mut self, data: &Dataset, utilities: &[Vec<f64>], eps: f64) -> TrainReport {
-        let mut rounds = Vec::with_capacity(utilities.len());
-        let mut watchdog = TrainingWatchdog::new("EA", self.cfg.batch_size);
-        for u in utilities {
-            let explore = self.cfg.epsilon.value(self.episodes_trained);
-            let u = u.clone();
-            let mut answer =
-                move |p_i: &[f64], p_j: &[f64]| vector::dot(&u, p_i) >= vector::dot(&u, p_j);
-            let outcome = self.episode(data, &mut answer, eps, explore, true, TraceMode::Off);
-            emit_episode_event(
-                "EA",
-                self.episodes_trained,
-                outcome.rounds,
-                explore,
-                if outcome.truncated {
-                    0.0
-                } else {
-                    self.cfg.reward_c
-                },
-                self.dqn.replay_len(),
-                outcome.truncated,
-                self.last_episode_loss,
-            );
-            watchdog.observe(
-                self.episodes_trained,
-                explore,
-                self.dqn.replay_len(),
-                self.last_episode_loss,
-            );
-            rounds.push(outcome.rounds);
-            self.episodes_trained += 1;
-        }
-        self.dqn.sync_target();
-        let mut report = TrainReport::from_rounds(rounds);
-        report.anomalies = watchdog.anomalies().to_vec();
-        report
+        let algo = Algo::Ea(&self.cfg, &self.encoder);
+        round::train(algo, &mut self.learner, data, utilities, eps)
     }
 }
 
@@ -684,12 +307,13 @@ impl InteractiveAlgorithm for EaAgent {
         eps: f64,
         trace: TraceMode,
     ) -> InteractionOutcome {
+        let algo = Algo::Ea(&self.cfg, &self.encoder);
         let mut answer = |p_i: &[f64], p_j: &[f64]| user.prefers(p_i, p_j);
-        self.episode(data, &mut answer, eps, 0.0, false, trace)
+        round::episode(algo, &mut self.learner, data, &mut answer, eps, None, trace).0
     }
 
     fn reseed(&mut self, seed: u64) {
-        self.rng = StdRng::seed_from_u64(seed);
+        self.learner.rng = StdRng::seed_from_u64(seed);
     }
 }
 

@@ -55,10 +55,15 @@ pub fn terminal_points<'a>(
     if us.is_empty() {
         return Vec::new();
     }
+    distinct(data.top1_batch(&us).iter().map(|t| t.index))
+}
+
+/// The distinct indices of `indices`, in first-appearance order.
+pub(crate) fn distinct(indices: impl Iterator<Item = usize>) -> Vec<usize> {
     let mut seen: Vec<usize> = Vec::new();
-    for t in data.top1_batch(&us) {
-        if !seen.contains(&t.index) {
-            seen.push(t.index);
+    for idx in indices {
+        if !seen.contains(&idx) {
+            seen.push(idx);
         }
     }
     seen
@@ -82,14 +87,24 @@ pub fn check_terminal(data: &Dataset, vertices: &[Vec<f64>], eps: f64) -> Option
     if vertices.is_empty() {
         return None;
     }
-    let anchors = terminal_points(data, vertices.iter());
-    // Fast path: a unique argmax across vertices is always terminal (every
-    // vertex lies in its own argmax's polyhedron).
+    terminal_anchor(data, &terminal_points(data, vertices.iter()), vertices, eps)
+}
+
+/// The Lemma 6 test of [`check_terminal`] given the points' distinct
+/// argmaxes `anchors`: a unique argmax across the points is always
+/// terminal (every point lies in its own argmax's polyhedron); otherwise
+/// the first anchor whose polyhedron covers every point.
+pub(crate) fn terminal_anchor(
+    data: &Dataset,
+    anchors: &[usize],
+    points: &[Vec<f64>],
+    eps: f64,
+) -> Option<usize> {
     if anchors.len() == 1 {
         return Some(anchors[0]);
     }
-    anchors.into_iter().find(|&a| {
-        vertices
+    anchors.iter().copied().find(|&a| {
+        points
             .iter()
             .all(|e| in_terminal_polyhedron(data, a, e, eps))
     })

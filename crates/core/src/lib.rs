@@ -67,6 +67,7 @@ pub mod ea;
 pub mod interaction;
 pub mod metrics;
 pub mod regret;
+mod round;
 pub mod runner;
 pub mod serving;
 pub(crate) mod telemetry;
@@ -75,14 +76,14 @@ pub mod watchdog;
 
 /// One-stop imports for applications and benches.
 pub mod prelude {
-    pub use crate::aa::{AaAgent, AaConfig, AaSession};
+    pub use crate::aa::{AaAgent, AaConfig};
     pub use crate::baselines::{
         SinglePass, SinglePassConfig, UhBaseline, UhConfig, UhStrategy, UtilityApprox,
         UtilityApproxConfig,
     };
     pub use crate::checkpoint::{load_aa, load_ea, save_aa, save_ea, CheckpointError};
     pub use crate::diagnostics::{analyze, DiagnosticReport, DiagnosticsConfig, VolumeMode};
-    pub use crate::ea::{EaAgent, EaConfig, EaSession};
+    pub use crate::ea::{EaAgent, EaConfig};
     pub use crate::interaction::{
         InteractionOutcome, InteractiveAlgorithm, Question, RoundTrace, TraceMode,
     };

@@ -8,10 +8,10 @@
 //! * [`ServePolicy`] — a loaded EA/AA checkpoint evaluated immutably
 //!   (`Dqn::best_action_ref`), so any number of sessions share one
 //!   `Arc<ServePolicy>` + `Arc<Dataset>`;
-//! * [`ServeSession`] — an *owned* per-user interaction state machine
-//!   (unlike the borrowing `EaSession`/`AaSession`); each round splits
-//!   into a scan-free plan phase and a finish phase consuming externally
-//!   computed top-1 results;
+//! * [`ServeSession`] — the one EA/AA round state machine (the same one
+//!   the agents' `run` and `train` step) plus the shared policy and
+//!   dataset; each round splits into a scan-free plan phase and a finish
+//!   phase consuming externally computed top-1 results;
 //! * [`SessionRegistry`] — holds the live sessions and runs the
 //!   **cross-user batcher**: every pump coalesces all pending per-session
 //!   scans into a single `top1_batch` call. Exactness of the scan makes

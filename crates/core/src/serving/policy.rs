@@ -3,6 +3,7 @@
 use crate::aa::AaAgent;
 use crate::checkpoint::{self, CheckpointError};
 use crate::ea::EaAgent;
+use crate::round::Algo;
 use isrl_geometry::GeometryBackend;
 use isrl_rl::Dqn;
 
@@ -95,6 +96,14 @@ impl ServePolicy {
                 true
             }
             ServePolicy::Aa(_) => false,
+        }
+    }
+
+    /// The read-only half of the agent that the round steps consult.
+    pub(crate) fn algo_view(&self) -> Algo<'_> {
+        match self {
+            ServePolicy::Ea(a) => a.algo(),
+            ServePolicy::Aa(a) => a.algo(),
         }
     }
 

@@ -1,27 +1,25 @@
-//! An owned per-user interaction state machine with externally supplied
-//! dataset scans.
+//! An owned per-user interaction with externally supplied dataset scans.
 //!
-//! [`EaSession`](crate::ea::EaSession)/[`AaSession`](crate::aa::AaSession)
-//! borrow their agent mutably and scan the dataset inline — one user at a
-//! time. A [`ServeSession`] instead *owns* all per-user state (region
-//! geometry, RNG, asked-set, DQN scratch) and shares the policy and
-//! dataset behind `Arc`s, and every round's dataset scan is surfaced as a
-//! take/provide pair so the [`SessionRegistry`](super::SessionRegistry)
-//! can batch scans across users. The split is RNG-exact: given the same
-//! seed, a `ServeSession` asks byte-identical question sequences to the
-//! borrowing sessions (pinned by `tests/serve_isolation.rs`).
+//! A [`ServeSession`] is the one EA/AA round state machine
+//! (`crate::round`) plus the two `Arc`s it steps against: the shared,
+//! never-mutated policy and dataset. Every round's dataset scan is
+//! surfaced as a take/provide pair so the
+//! [`SessionRegistry`](super::SessionRegistry) can batch scans across
+//! users; questions are chosen greedily against the shared Q-network with
+//! a session-owned scratch buffer. Given the same seed, a session asks
+//! byte-identical question sequences to the agent's own `run` after
+//! `reseed(seed)` (pinned by `tests/serve_isolation.rs`).
 
 use std::sync::Arc;
 
-use crate::aa::{aa_actions, aa_phase1, AaPhase1};
-use crate::ea::{ea_actions, ea_phase1, ea_sample_extras, ea_verdict};
 use crate::interaction::{Question, Stopwatch};
+use crate::round::Round;
 use crate::serving::ServePolicy;
 use isrl_data::Dataset;
-use isrl_geometry::{Halfspace, RegionGeometry};
+use isrl_geometry::Region;
 use isrl_linalg::Top1;
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 
 use super::AlgoKind;
 
@@ -66,37 +64,6 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Pre-scan context carried across a pending scan.
-enum Phase1 {
-    /// EA: the encoded state (utilities are `[region points.., centroid]`).
-    Ea { state: Vec<f64> },
-    /// AA: the LP summary (the single utility is the rectangle midpoint).
-    Aa(AaPhase1),
-}
-
-/// Where the session's round state machine stands.
-enum Stage {
-    /// Waiting for the round-opening scan. `utilities` is `Some` until the
-    /// batcher takes them.
-    Scan1 {
-        utilities: Option<Vec<Vec<f64>>>,
-        pre: Phase1,
-    },
-    /// EA on the exact backend only: the terminal check said non-terminal,
-    /// extra region samples were drawn, and their scans are pending.
-    /// `points_top1` keeps the phase-1 per-vertex argmaxes so `P_R` can be
-    /// assembled in the inline path's exact order.
-    Scan2 {
-        utilities: Option<Vec<Vec<f64>>>,
-        state: Vec<f64>,
-        points_top1: Vec<usize>,
-    },
-    /// A question is pending with the user.
-    Ask { question: Question },
-    /// Finished — a recommendation is available.
-    Done,
-}
-
 /// One live user interaction, decoupled from the dataset scan.
 ///
 /// Lifecycle per round: when [`needs_scan`](Self::needs_scan), the driver
@@ -107,20 +74,12 @@ enum Stage {
 /// two such exchanges per round. The session then either finishes or
 /// exposes [`current_question`](Self::current_question), and
 /// [`answer`](Self::answer) starts the next round. [`step_blocking`]
-/// (Self::step_blocking) runs the exchanges inline for unbatched callers
-/// (the stdin interview, differential tests).
+/// (Self::step_blocking) runs the exchanges inline for unbatched callers.
 pub struct ServeSession {
     policy: Arc<ServePolicy>,
     data: Arc<Dataset>,
-    eps: f64,
-    rng: StdRng,
-    geom: RegionGeometry,
-    asked: Vec<(usize, usize)>,
-    rounds: usize,
-    truncated: bool,
+    round: Round,
     scratch: Vec<f64>,
-    stage: Stage,
-    recommendation: Option<usize>,
     sw: Stopwatch,
 }
 
@@ -146,40 +105,14 @@ impl ServeSession {
         if !(eps.is_finite() && eps > 0.0) {
             return Err(ServeError::BadEpsilon(eps));
         }
-        let mut rng = StdRng::seed_from_u64(seed);
-        // Mirrors `EaAgent::new_geometry` / `AaAgent` setup exactly,
-        // including the sampled backend's cloud-seed draw from the session
-        // RNG.
-        let geom = match &*policy {
-            ServePolicy::Ea(a) => {
-                if a.config().geometry.resolves_to_sampled(a.dim()) {
-                    RegionGeometry::sampled(a.dim(), a.config().walk, rng.next_u64())
-                } else {
-                    RegionGeometry::exact(a.dim())
-                }
-            }
-            ServePolicy::Aa(a) => {
-                let mut g = RegionGeometry::summary_only(a.dim());
-                g.set_warm_lp(a.config().warm_lp);
-                g
-            }
-        };
-        let mut session = Self {
+        let round = Round::new(policy.algo_view(), eps, StdRng::seed_from_u64(seed));
+        Ok(Self {
             policy,
             data,
-            eps,
-            rng,
-            geom,
-            asked: Vec::new(),
-            rounds: 0,
-            truncated: false,
+            round,
             scratch: Vec::new(),
-            stage: Stage::Done,
-            recommendation: None,
             sw: Stopwatch::start(),
-        };
-        session.plan();
-        Ok(session)
+        })
     }
 
     /// The algorithm this session runs.
@@ -189,268 +122,220 @@ impl ServeSession {
 
     /// `true` while a scan is pending and its utilities not yet taken.
     pub fn needs_scan(&self) -> bool {
-        matches!(
-            &self.stage,
-            Stage::Scan1 {
-                utilities: Some(_),
-                ..
-            } | Stage::Scan2 {
-                utilities: Some(_),
-                ..
-            }
-        )
+        self.round.needs_scan()
     }
 
     /// Takes the pending scan's utility vectors (to be answered with
     /// [`provide_scan`](Self::provide_scan)), or `None` when no scan is
     /// pending.
     pub fn take_scan_utilities(&mut self) -> Option<Vec<Vec<f64>>> {
-        match &mut self.stage {
-            Stage::Scan1 { utilities, .. } | Stage::Scan2 { utilities, .. } => utilities.take(),
-            _ => None,
-        }
+        self.round.take_scan_utilities()
     }
 
     /// Delivers the top-1 results for the taken utility vectors (`top1[k]`
-    /// answers `utilities[k]`) and advances the round.
+    /// answers `utilities[k]`) and advances the round; once its candidate
+    /// questions are ready, the greedy one is asked.
     ///
     /// # Panics
     /// Panics if no scan was taken or the lengths disagree — driver bugs,
     /// not user input.
     pub fn provide_scan(&mut self, utilities: &[Vec<f64>], top1: &[Top1]) {
-        assert_eq!(utilities.len(), top1.len(), "scan result length mismatch");
-        let stage = std::mem::replace(&mut self.stage, Stage::Done);
-        match stage {
-            Stage::Scan1 {
-                utilities: taken,
-                pre,
-            } => {
-                assert!(taken.is_none(), "scan provided before being taken");
-                match pre {
-                    Phase1::Ea { state } => self.finish_ea_scan1(utilities, top1, state),
-                    Phase1::Aa(pre) => self.finish_aa_scan1(top1, pre),
-                }
-            }
-            Stage::Scan2 {
-                utilities: taken,
-                state,
-                points_top1,
-            } => {
-                assert!(taken.is_none(), "scan provided before being taken");
-                self.finish_ea_scan2(top1, state, points_top1);
-            }
-            _ => panic!("no scan is pending"),
-        }
+        self.round
+            .provide_scan(self.policy.algo_view(), &self.data, utilities, top1);
+        self.ask_greedy();
     }
 
-    /// EA phase 1 done: run the terminal check over the region points'
-    /// argmaxes. Terminal → finished; sampled backend → the cloud already
-    /// is `V`, so `P_R` is the anchor set and the round goes straight to
-    /// action selection; exact backend → draw the extra samples of `V`
-    /// (only now, preserving the inline path's property that terminal
-    /// rounds consume no RNG) and queue their scans.
-    fn finish_ea_scan1(&mut self, utilities: &[Vec<f64>], top1: &[Top1], state: Vec<f64>) {
-        let policy = Arc::clone(&self.policy);
-        let ServePolicy::Ea(agent) = &*policy else {
-            unreachable!("EA scan on a non-EA session");
-        };
-        let points = &utilities[..utilities.len() - 1];
-        let verdict = ea_verdict(&self.data, points, top1, self.eps);
-        self.recommendation = Some(verdict.terminal.unwrap_or(verdict.fallback_best));
-        if verdict.terminal.is_some() {
-            self.stage = Stage::Done;
-            return;
-        }
-        if self.geom.is_sampled() {
-            let (questions, feats) = ea_actions(
-                agent.config(),
-                &self.data,
-                &verdict.anchors,
-                &self.asked,
-                &mut self.rng,
-            );
-            self.ask(state, questions, feats);
-        } else {
-            let extras = ea_sample_extras(
-                agent.config(),
-                agent.dim(),
-                &self.geom,
-                points,
-                &mut self.rng,
-            );
-            self.stage = Stage::Scan2 {
-                utilities: Some(extras),
-                state,
-                points_top1: top1[..points.len()].iter().map(|t| t.index).collect(),
-            };
-        }
-    }
-
-    /// EA phase 2 done (exact backend): assemble `P_R` as the distinct
-    /// argmaxes over `[extra samples.., region vertices..]` in first-
-    /// appearance order — exactly `terminal_points` over the inline path's
-    /// `samples.extend(vertices)` layout — then select the question.
-    fn finish_ea_scan2(&mut self, top1: &[Top1], state: Vec<f64>, points_top1: Vec<usize>) {
-        let policy = Arc::clone(&self.policy);
-        let ServePolicy::Ea(agent) = &*policy else {
-            unreachable!("EA scan on a non-EA session");
-        };
-        let mut p_r: Vec<usize> = Vec::new();
-        for idx in top1.iter().map(|t| t.index).chain(points_top1) {
-            if !p_r.contains(&idx) {
-                p_r.push(idx);
-            }
-        }
-        let (questions, feats) =
-            ea_actions(agent.config(), &self.data, &p_r, &self.asked, &mut self.rng);
-        self.ask(state, questions, feats);
-    }
-
-    /// AA phase 1 done: the midpoint's top-1 is both the terminal return
-    /// and the fallback recommendation (Algorithm 4, line 11).
-    fn finish_aa_scan1(&mut self, top1: &[Top1], pre: AaPhase1) {
-        let policy = Arc::clone(&self.policy);
-        let ServePolicy::Aa(agent) = &*policy else {
-            unreachable!("AA scan on a non-AA session");
-        };
-        self.recommendation = Some(top1[0].index);
-        if pre.terminal {
-            self.stage = Stage::Done;
-            return;
-        }
-        let (questions, feats) = aa_actions(
-            agent.config(),
-            agent.dim(),
-            &self.data,
-            &mut self.geom,
-            &pre.center,
-            &self.asked,
-            &mut self.rng,
-        );
-        self.ask(pre.state, questions, feats);
-    }
-
-    /// Greedy question selection against the shared Q-network, with the
-    /// borrowing sessions' truncation rules.
-    fn ask(&mut self, state: Vec<f64>, questions: Vec<Question>, feats: Vec<Vec<f64>>) {
-        let max_rounds = match &*self.policy {
-            ServePolicy::Ea(a) => a.config().max_rounds,
-            ServePolicy::Aa(a) => a.config().max_rounds,
-        };
-        if questions.is_empty() || self.rounds >= max_rounds {
-            self.truncated = true;
-            self.stage = Stage::Done;
-            return;
-        }
-        let policy = Arc::clone(&self.policy);
-        let (idx, _) = policy
-            .dqn()
-            .best_action_ref(&mut self.scratch, &state, &feats);
-        self.stage = Stage::Ask {
-            question: questions[idx],
-        };
-    }
-
-    /// Opens the next round: derive the scan-free phase-1 context from the
-    /// current region, or finish truncated when the region has collapsed.
-    fn plan(&mut self) {
-        let policy = Arc::clone(&self.policy);
-        let planned = match &*policy {
-            ServePolicy::Ea(agent) => ea_phase1(agent.encoder(), &self.geom)
-                .map(|(state, utilities)| (Phase1::Ea { state }, utilities)),
-            ServePolicy::Aa(_) => aa_phase1(&mut self.geom, self.eps)
-                .map(|(pre, utilities)| (Phase1::Aa(pre), utilities)),
-        };
-        match planned {
-            None => {
-                self.truncated = true;
-                self.stage = Stage::Done;
-            }
-            Some((pre, utilities)) => {
-                self.stage = Stage::Scan1 {
-                    utilities: Some(utilities),
-                    pre,
-                };
-            }
-        }
+    /// Asks the greedy question once the round's candidates are ready.
+    fn ask_greedy(&mut self) {
+        let dqn = self.policy.dqn();
+        let scratch = &mut self.scratch;
+        self.round.choose(self.policy.algo_view(), |state, feats| {
+            dqn.best_action_ref(scratch, state, feats).0
+        });
     }
 
     /// Delivers the user's choice (`true` = first point preferred) and
-    /// starts the next round. Unlike the borrowing sessions this returns an
-    /// error instead of panicking — in a server, a double answer is user
-    /// input, not a bug.
+    /// starts the next round. A double answer is user input in a server,
+    /// so it is an error rather than a panic.
     pub fn answer(&mut self, prefers_first: bool) -> Result<(), ServeError> {
-        let Stage::Ask { question: q } = self.stage else {
-            return Err(ServeError::NoPendingQuestion);
-        };
-        let (win, lose) = if prefers_first {
-            (q.i, q.j)
-        } else {
-            (q.j, q.i)
-        };
-        self.asked.push((q.i.min(q.j), q.i.max(q.j)));
-        self.rounds += 1;
-        if let Some(h) = Halfspace::preferring(self.data.point(win), self.data.point(lose)) {
-            self.geom.add(h);
-        }
-        self.plan();
-        Ok(())
+        self.round
+            .answer(self.policy.algo_view(), &self.data, prefers_first)
     }
 
     /// Runs any pending scans inline against the shared dataset — the
     /// unbatched path for single-session callers.
     pub fn step_blocking(&mut self) {
-        let data = Arc::clone(&self.data);
-        while let Some(utilities) = self.take_scan_utilities() {
-            let top1 = {
-                let _t = isrl_obs::span("top1");
-                data.top1_batch(&utilities)
-            };
-            self.provide_scan(&utilities, &top1);
-        }
+        self.round.scan_inline(self.policy.algo_view(), &self.data);
+        self.ask_greedy();
     }
 
     /// The pending question, or `None` while scanning or finished.
     pub fn current_question(&self) -> Option<Question> {
-        match &self.stage {
-            Stage::Ask { question } => Some(*question),
-            _ => None,
-        }
+        self.round.current_question()
     }
 
     /// The two points of the pending question, for display.
     pub fn current_points(&self) -> Option<(&[f64], &[f64])> {
-        match &self.stage {
-            Stage::Ask { question } => {
-                Some((self.data.point(question.i), self.data.point(question.j)))
-            }
-            _ => None,
-        }
+        self.current_question()
+            .map(|q| (self.data.point(q.i), self.data.point(q.j)))
     }
 
     /// `true` once no further question will be asked.
     pub fn is_finished(&self) -> bool {
-        matches!(self.stage, Stage::Done)
+        self.round.is_finished()
     }
 
     /// Questions answered so far.
     pub fn rounds(&self) -> usize {
-        self.rounds
+        self.round.rounds()
     }
 
     /// `true` when the session ended without certifying termination.
     pub fn truncated(&self) -> bool {
-        self.truncated
+        self.round.truncated()
     }
 
     /// The current (or final) recommendation. `None` only before the very
     /// first scan completes.
     pub fn recommendation(&self) -> Option<usize> {
-        self.recommendation
+        self.round.recommendation()
+    }
+
+    /// The learned utility range so far (half-space view).
+    pub fn region(&self) -> &Region {
+        self.round.geom().region()
     }
 
     /// Elapsed wall-clock time since the session opened.
     pub fn elapsed(&self) -> std::time::Duration {
         self.sw.elapsed()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::aa::{AaAgent, AaConfig};
+    use crate::ea::{EaAgent, EaConfig};
+    use crate::interaction::{InteractiveAlgorithm, TraceMode};
+    use crate::regret::regret_ratio_of_index;
+    use crate::user::{SimulatedUser, User};
+
+    fn data() -> Arc<Dataset> {
+        Arc::new(Dataset::from_points(
+            vec![
+                vec![1.0, 0.05],
+                vec![0.85, 0.4],
+                vec![0.6, 0.65],
+                vec![0.4, 0.85],
+                vec![0.05, 1.0],
+            ],
+            2,
+        ))
+    }
+
+    /// Serves `user` to the end of a fresh session.
+    fn serve(
+        policy: ServePolicy,
+        data: &Arc<Dataset>,
+        eps: f64,
+        seed: u64,
+        user: &mut dyn User,
+    ) -> ServeSession {
+        let mut session = ServeSession::new(Arc::new(policy), Arc::clone(data), eps, seed).unwrap();
+        session.step_blocking();
+        let mut guard = 0;
+        while let Some((p, q)) = session
+            .current_points()
+            .map(|(a, b)| (a.to_vec(), b.to_vec()))
+        {
+            session.answer(user.prefers(&p, &q)).unwrap();
+            session.step_blocking();
+            guard += 1;
+            assert!(guard < 500, "session failed to finish");
+        }
+        session
+    }
+
+    #[test]
+    fn ea_session_matches_run_and_is_exact() {
+        let d = data();
+        let truth = vec![0.45, 0.55];
+        let eps = 0.1;
+        let mut agent = EaAgent::new(2, EaConfig::paper_default().with_seed(7));
+        agent.reseed(3);
+        let run_out = agent.run(
+            &d,
+            &mut SimulatedUser::new(truth.clone()),
+            eps,
+            TraceMode::Off,
+        );
+
+        let policy = ServePolicy::Ea(EaAgent::new(2, EaConfig::paper_default().with_seed(7)));
+        let session = serve(policy, &d, eps, 3, &mut SimulatedUser::new(truth.clone()));
+        assert_eq!(session.rounds(), run_out.rounds);
+        assert_eq!(session.recommendation(), Some(run_out.point_index));
+        let regret = regret_ratio_of_index(&d, run_out.point_index, &truth);
+        assert!(regret < eps, "EA session must stay exact: {regret}");
+        assert!(!session.truncated());
+    }
+
+    #[test]
+    fn ea_recommendation_is_available_after_the_first_scan() {
+        let d = data();
+        let policy = ServePolicy::Ea(EaAgent::new(2, EaConfig::paper_default().with_seed(8)));
+        let mut session = ServeSession::new(Arc::new(policy), Arc::clone(&d), 0.05, 8).unwrap();
+        assert_eq!(session.recommendation(), None, "nothing is scanned yet");
+        session.step_blocking();
+        // Before any answer the recommendation is merely the centroid's
+        // favorite — but it must be a valid index.
+        assert!(session.recommendation().unwrap() < d.len());
+        assert_eq!(session.rounds(), 0);
+        assert!(
+            !session.is_finished(),
+            "eps=0.05 needs at least one question here"
+        );
+    }
+
+    #[test]
+    fn aa_session_reaches_the_same_outcome_as_run() {
+        let d = data();
+        let truth = vec![0.35, 0.65];
+        let mut agent = AaAgent::new(2, AaConfig::paper_default().with_seed(4));
+        agent.reseed(4);
+        let run_out = agent.run(
+            &d,
+            &mut SimulatedUser::new(truth.clone()),
+            0.1,
+            TraceMode::Off,
+        );
+
+        let policy = ServePolicy::Aa(AaAgent::new(2, AaConfig::paper_default().with_seed(4)));
+        let session = serve(policy, &d, 0.1, 4, &mut SimulatedUser::new(truth));
+        assert!(session.is_finished());
+        assert_eq!(session.rounds(), run_out.rounds);
+        assert_eq!(session.recommendation(), Some(run_out.point_index));
+        assert_eq!(session.truncated(), run_out.truncated);
+    }
+
+    #[test]
+    fn aa_session_produces_a_valid_recommendation() {
+        let d = data();
+        let truth = vec![0.7, 0.3];
+        let policy = ServePolicy::Aa(AaAgent::new(2, AaConfig::paper_default().with_seed(5)));
+        let session = serve(policy, &d, 0.1, 5, &mut SimulatedUser::new(truth.clone()));
+        let regret = regret_ratio_of_index(&d, session.recommendation().unwrap(), &truth);
+        assert!(regret <= 4.0 * 0.1 + 1e-9, "d²ε bound violated: {regret}");
+        assert_eq!(session.region().len(), session.rounds());
+    }
+
+    #[test]
+    fn answering_a_finished_session_is_an_error() {
+        let d = Arc::new(Dataset::from_points(vec![vec![0.5, 0.5]], 2));
+        let policy = ServePolicy::Aa(AaAgent::new(2, AaConfig::paper_default().with_seed(6)));
+        let mut session = ServeSession::new(Arc::new(policy), d, 0.5, 6).unwrap();
+        session.step_blocking();
+        assert!(session.is_finished(), "single point needs no questions");
+        assert_eq!(session.answer(true), Err(ServeError::NoPendingQuestion));
     }
 }

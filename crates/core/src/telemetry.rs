@@ -2,8 +2,8 @@
 //!
 //! All algorithms speak the same trace schema (see `isrl_obs::schema` and
 //! DESIGN.md §9): one `round` event per question asked, one `episode` event
-//! per training episode. The helpers here own the field layout so EA, AA,
-//! the baselines, and the step-wise sessions cannot drift apart.
+//! per training episode. The helpers here own the field layout so EA, AA
+//! and the baselines cannot drift apart.
 
 use crate::interaction::Question;
 use isrl_obs::{Event, Json};
@@ -103,8 +103,8 @@ fn phases_json(phases: &[(&'static str, Duration)]) -> Json {
 /// RAII scope emitting one `profile` event per episode: while alive (and
 /// the sink was enabled at entry) every finishing span accumulates into a
 /// per-path call tree, and drop freezes it with self-vs-child accounting
-/// (see `isrl_obs::profile`). Covering every return path of `episode()`
-/// by construction is the point of doing this in a guard.
+/// (see `isrl_obs::profile`). Covering every exit of an episode by
+/// construction is the point of doing this in a guard.
 pub(crate) struct EpisodeProfile {
     algo: &'static str,
     rounds: usize,

@@ -4,12 +4,15 @@
 //! recommendation, same truncation flag. `AaConfig::warm_lp` is documented
 //! as a pure speed knob; this suite is the proof.
 //!
-//! Episodes are driven step-wise through [`AaAgent::start_session`] so the
-//! two configurations can be compared round by round (not just on the
-//! final output), on seeded synthetic datasets up to `d = 6`.
+//! Episodes are driven step-wise through [`ServeSession`] so the two
+//! configurations can be compared round by round (not just on the final
+//! output), on seeded synthetic datasets up to `d = 6`.
+
+use std::sync::Arc;
 
 use isrl_core::aa::{AaAgent, AaConfig};
 use isrl_core::interaction::{InteractiveAlgorithm, TraceMode};
+use isrl_core::serving::{ServePolicy, ServeSession};
 use isrl_core::user::SimulatedUser;
 use isrl_data::Dataset;
 use proptest::prelude::*;
@@ -56,20 +59,25 @@ proptest! {
         let truth = synthetic_truth(&mut rng, d);
         let eps = 0.15;
         let (warm_cfg, cold_cfg) = configs(seed);
-        let mut warm_agent = AaAgent::new(d, warm_cfg);
-        let mut cold_agent = AaAgent::new(d, cold_cfg);
-        let mut warm = warm_agent.start_session(&data, eps);
-        let mut cold = cold_agent.start_session(&data, eps);
+        let data = Arc::new(data);
+        let open = |cfg: AaConfig| {
+            let policy = Arc::new(ServePolicy::Aa(AaAgent::new(d, cfg)));
+            ServeSession::new(policy, Arc::clone(&data), eps, seed).unwrap()
+        };
+        let mut warm = open(warm_cfg);
+        let mut cold = open(cold_cfg);
         let mut guard = 0usize;
         loop {
+            warm.step_blocking();
+            cold.step_blocking();
             let wq = warm.current_question();
             let cq = cold.current_question();
             prop_assert_eq!(wq, cq, "question divergence at round {}", warm.rounds());
             let Some(q) = wq else { break };
             let dot = |u: &[f64], p: &[f64]| u.iter().zip(p).map(|(a, b)| a * b).sum::<f64>();
             let answer = dot(&truth, data.point(q.i)) >= dot(&truth, data.point(q.j));
-            warm.answer(answer);
-            cold.answer(answer);
+            warm.answer(answer).unwrap();
+            cold.answer(answer).unwrap();
             guard += 1;
             prop_assert!(guard < 500, "episode failed to terminate");
         }

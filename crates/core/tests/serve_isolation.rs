@@ -2,11 +2,11 @@
 //!
 //! Two guarantees are pinned here:
 //!
-//! 1. **Session/agent parity** — a [`ServeSession`] (owned state, external
-//!    scans) asks byte-identical question sequences to the borrowing
-//!    `EaSession`/`AaSession` given the same policy and seed, and returns
-//!    the same recommendation. The serving split is a refactor of the
-//!    round loop, not a new algorithm.
+//! 1. **Session/agent parity** — a [`ServeSession`] (shared policy,
+//!    external scans, the registry's driver) asks byte-identical question
+//!    sequences to the agent's own `run` (the inline episode driver) given
+//!    the same policy and seed, and returns the same recommendation. Both
+//!    step one round state machine; only the drivers differ.
 //! 2. **Session isolation** — K sessions interleaved through a
 //!    [`SessionRegistry`] with cross-user batching enabled see exactly
 //!    what each would see running alone: the batcher may merge scans but
@@ -25,6 +25,46 @@ fn dataset() -> Arc<Dataset> {
 
 fn prefers(truth: &[f64], p: &[f64], q: &[f64]) -> bool {
     vector::dot(truth, p) >= vector::dot(truth, q)
+}
+
+/// A simulated user that records each question as dataset indices.
+struct Recorder<'a> {
+    data: &'a Dataset,
+    truth: Vec<f64>,
+    questions: Vec<(usize, usize)>,
+}
+
+impl User for Recorder<'_> {
+    fn prefers(&mut self, p_i: &[f64], p_j: &[f64]) -> bool {
+        let index_of = |p: &[f64]| self.data.iter().position(|x| x == p).unwrap();
+        let q = (index_of(p_i), index_of(p_j));
+        self.questions.push(q);
+        prefers(&self.truth, p_i, p_j)
+    }
+
+    fn questions_asked(&self) -> usize {
+        self.questions.len()
+    }
+}
+
+/// Runs the agent's inline episode driver after reseeding its RNG to the
+/// session seed (exactly what `ServeSession::new` seeds) and records the
+/// question sequence.
+fn run_inline(
+    agent: &mut dyn InteractiveAlgorithm,
+    data: &Dataset,
+    eps: f64,
+    seed: u64,
+    truth: &[f64],
+) -> (Vec<(usize, usize)>, InteractionOutcome) {
+    agent.reseed(seed);
+    let mut user = Recorder {
+        data,
+        truth: truth.to_vec(),
+        questions: Vec::new(),
+    };
+    let out = agent.run(data, &mut user, eps, TraceMode::Off);
+    (user.questions, out)
 }
 
 /// Drives a [`ServeSession`] alone (inline scans) and records its question
@@ -63,20 +103,8 @@ fn serve_session_matches_ea_session() {
         let mut cfg = EaConfig::paper_default().with_seed(5);
         cfg.geometry = backend;
         for (seed, truth) in [(21u64, vec![0.35, 0.65]), (22, vec![0.7, 0.3])] {
-            // Borrowing session: reseed pins the agent RNG to the session
-            // seed, exactly what ServeSession::new does internally.
             let mut agent = EaAgent::new(2, cfg.clone());
-            agent.reseed(seed);
-            let mut session = agent.start_session(&data, eps);
-            let mut inline_questions = Vec::new();
-            while let Some(q) = session.current_question() {
-                inline_questions.push((q.i, q.j));
-                let (p1, p2) = session
-                    .current_points()
-                    .map(|(a, b)| (a.to_vec(), b.to_vec()))
-                    .unwrap();
-                session.answer(prefers(&truth, &p1, &p2));
-            }
+            let (inline_questions, inline) = run_inline(&mut agent, &data, eps, seed, &truth);
 
             let policy = Arc::new(ServePolicy::Ea(EaAgent::new(2, cfg.clone())));
             let (questions, rounds, rec) = run_serve_session(&policy, &data, eps, seed, &truth);
@@ -84,10 +112,10 @@ fn serve_session_matches_ea_session() {
                 questions, inline_questions,
                 "EA/{geometry} seed {seed}: question sequences must match"
             );
-            assert_eq!(rounds, session.rounds());
-            assert_eq!(rec, session.recommendation());
+            assert_eq!(rounds, inline.rounds);
+            assert_eq!(rec, inline.point_index);
             assert!(
-                regret_ratio_of_index(&data, rec, &truth) < eps || session.truncated(),
+                regret_ratio_of_index(&data, rec, &truth) < eps || inline.truncated,
                 "EA serving must stay exact"
             );
         }
@@ -101,17 +129,7 @@ fn serve_session_matches_aa_session() {
     let cfg = AaConfig::paper_default().with_seed(6);
     for (seed, truth) in [(31u64, vec![0.25, 0.75]), (32, vec![0.6, 0.4])] {
         let mut agent = AaAgent::new(2, cfg.clone());
-        agent.reseed(seed);
-        let mut session = agent.start_session(&data, eps);
-        let mut inline_questions = Vec::new();
-        while let Some(q) = session.current_question() {
-            inline_questions.push((q.i, q.j));
-            let (p1, p2) = session
-                .current_points()
-                .map(|(a, b)| (a.to_vec(), b.to_vec()))
-                .unwrap();
-            session.answer(prefers(&truth, &p1, &p2));
-        }
+        let (inline_questions, inline) = run_inline(&mut agent, &data, eps, seed, &truth);
 
         let policy = Arc::new(ServePolicy::Aa(AaAgent::new(2, cfg.clone())));
         let (questions, rounds, rec) = run_serve_session(&policy, &data, eps, seed, &truth);
@@ -119,8 +137,8 @@ fn serve_session_matches_aa_session() {
             questions, inline_questions,
             "AA seed {seed}: question sequences must match"
         );
-        assert_eq!(rounds, session.rounds());
-        assert_eq!(rec, session.recommendation());
+        assert_eq!(rounds, inline.rounds);
+        assert_eq!(rec, inline.point_index);
     }
 }
 

@@ -4,12 +4,26 @@
 //!
 //! Lives in its own integration-test binary (= its own process) because
 //! the obs counters are process-global: enabling the sink here must not
-//! race with the differential suite's kernels.
+//! race with the differential suite's kernels. Within this binary the tests
+//! still run on parallel threads, so each holds [`sink_lock`] while it
+//! toggles the sink and reads counter deltas.
+
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use isrl_linalg::{
     scan::TOP1_NAN_COUNTER, top1_batch, top1_batch_simd, top1_scalar, top1_soa, top1_soa_f32,
     SoaBuffer, Top1,
 };
+
+/// Serializes the tests that toggle the process-global obs sink and read
+/// `scan.top1_nan` deltas; a poisoned lock is recovered so one failure does
+/// not cascade.
+fn sink_lock() -> MutexGuard<'static, ()> {
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    LOCK.get_or_init(Default::default)
+        .lock()
+        .unwrap_or_else(|p| p.into_inner())
+}
 
 const BACKEND_NAMES: [&str; 5] = ["scalar", "batched", "batched-simd", "soa", "soa-f32"];
 
@@ -30,6 +44,7 @@ fn run_backend(name: &str, utilities: &[Vec<f64>], points: &[f64], dim: usize) -
 
 #[test]
 fn every_backend_bumps_the_warning_counter_once_per_degenerate_utility() {
+    let _g = sink_lock();
     isrl_obs::set_enabled(true);
     let dim = 2;
     // Under u0 = [2, 2] every score is NaN: row 0 directly, row 1 via
@@ -60,6 +75,7 @@ fn every_backend_bumps_the_warning_counter_once_per_degenerate_utility() {
 
 #[test]
 fn all_minus_inf_without_nan_returns_sentinel_without_warning() {
+    let _g = sink_lock();
     isrl_obs::set_enabled(true);
     let dim = 2;
     // Scores are all exactly -inf (finite utility, -inf coordinates) but

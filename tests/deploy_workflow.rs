@@ -3,6 +3,8 @@
 //! through the step-wise session API — verifying the served guarantees
 //! match what was measured at training time.
 
+use std::sync::Arc;
+
 use isrl_core::checkpoint;
 use isrl_core::prelude::*;
 use isrl_core::regret::regret_ratio_of_index;
@@ -11,6 +13,31 @@ use isrl_linalg::vector;
 
 fn training_environment() -> Dataset {
     skyline(&generate(800, 3, Distribution::AntiCorrelated, 31))
+}
+
+/// Serves one user to the end of a fresh session on the reloaded policy.
+fn serve_user(
+    policy: &Arc<ServePolicy>,
+    data: &Arc<Dataset>,
+    eps: f64,
+    seed: u64,
+    truth: &[f64],
+) -> ServeSession {
+    let mut session = ServeSession::new(Arc::clone(policy), Arc::clone(data), eps, seed).unwrap();
+    let mut rounds_guard = 0;
+    session.step_blocking();
+    while let Some((p, q)) = session
+        .current_points()
+        .map(|(a, b)| (a.to_vec(), b.to_vec()))
+    {
+        session
+            .answer(vector::dot(truth, &p) >= vector::dot(truth, &q))
+            .unwrap();
+        session.step_blocking();
+        rounds_guard += 1;
+        assert!(rounds_guard < 200, "session ran away");
+    }
+    session
 }
 
 #[test]
@@ -30,23 +57,18 @@ fn train_ship_serve_round_trip_ea() {
 
     // Online: reload and serve three users through sessions.
     let bytes = std::fs::read(&path).unwrap();
-    let mut served = checkpoint::load_ea(&bytes).unwrap();
-    for truth in [
+    let served = Arc::new(ServePolicy::Ea(checkpoint::load_ea(&bytes).unwrap()));
+    let data = Arc::new(data);
+    for (seed, truth) in [
         vec![0.5, 0.3, 0.2],
         vec![0.2, 0.2, 0.6],
         vec![0.34, 0.33, 0.33],
-    ] {
-        let mut session = served.start_session(&data, eps);
-        let mut rounds_guard = 0;
-        while let Some((p, q)) = session
-            .current_points()
-            .map(|(a, b)| (a.to_vec(), b.to_vec()))
-        {
-            session.answer(vector::dot(&truth, &p) >= vector::dot(&truth, &q));
-            rounds_guard += 1;
-            assert!(rounds_guard < 200, "session ran away");
-        }
-        let regret = regret_ratio_of_index(&data, session.recommendation(), &truth);
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let session = serve_user(&served, &data, eps, seed as u64, &truth);
+        let regret = regret_ratio_of_index(&data, session.recommendation().unwrap(), &truth);
         assert!(
             regret < eps,
             "served EA must keep its exactness guarantee: regret {regret}"
@@ -71,16 +93,11 @@ fn train_ship_serve_round_trip_aa() {
     }
 
     let bytes = std::fs::read(&path).unwrap();
-    let mut served = checkpoint::load_aa(&bytes).unwrap();
+    let served = Arc::new(ServePolicy::Aa(checkpoint::load_aa(&bytes).unwrap()));
+    let data = Arc::new(data);
     let truth = vec![0.25, 0.45, 0.3];
-    let mut session = served.start_session(&data, eps);
-    while let Some((p, q)) = session
-        .current_points()
-        .map(|(a, b)| (a.to_vec(), b.to_vec()))
-    {
-        session.answer(vector::dot(&truth, &p) >= vector::dot(&truth, &q));
-    }
-    let regret = regret_ratio_of_index(&data, session.recommendation(), &truth);
+    let session = serve_user(&served, &data, eps, 0, &truth);
+    let regret = regret_ratio_of_index(&data, session.recommendation().unwrap(), &truth);
     assert!(
         regret <= 9.0 * eps + 1e-9,
         "served AA must keep its d²ε bound: {regret}"
