@@ -17,7 +17,6 @@
 use isrl_bench::report::{f2, Table};
 use isrl_core::prelude::*;
 use isrl_data::{generate, skyline, Dataset, Distribution};
-use isrl_linalg::vector;
 use std::path::PathBuf;
 
 /// Runs `algo` to completion once per evaluation user and reports
@@ -309,63 +308,16 @@ fn kernel_before_after() -> Table {
         f2(before / after),
     ]);
 
-    // Top-1 utility scan: n = 100k, d = 20, 32 utility vectors.
+    // Top-1 utility scan at n = 100k, d = 20, 32 utility vectors:
+    // `before_ms` is the scalar reference (`top1_batch`, one row-major
+    // pass per utility vector), `after_ms` the structure-of-arrays kernel
+    // every `Dataset` scan runs (mirror built outside the timed region).
     let data = generate(100_000, 20, Distribution::AntiCorrelated, 11);
     let sd = data.dim();
     let utilities = sample_users(sd, 32, 12);
-    let flat = data.as_flat();
-    let before = min_ms(4, || {
-        for u in &utilities {
-            let mut best = (0usize, f64::NEG_INFINITY);
-            for (i, p) in flat.chunks_exact(sd).enumerate() {
-                let v = vector::dot(p, u);
-                if v > best.1 {
-                    best = (i, v);
-                }
-            }
-            std::hint::black_box(best);
-        }
+    let reference_ms = min_ms(4, || {
+        std::hint::black_box(isrl_linalg::top1_batch(&utilities, data.as_flat(), sd));
     });
-    let after = min_ms(4, || {
-        std::hint::black_box(isrl_linalg::top1_batch(&utilities, flat, sd));
-    });
-    table.push_row(vec![
-        "top1_scan".into(),
-        format!("n={} d={sd} k={}", data.len(), utilities.len()),
-        format!("{before:.2}"),
-        format!("{after:.2}"),
-        f2(before / after),
-    ]);
-
-    // Dot kernel: portable 4-lane unrolled loop vs the runtime-detected
-    // AVX2 path (bit-identical results).
-    let dot_before = min_ms(20, || {
-        let mut acc = 0.0f64;
-        for p in flat.chunks_exact(sd) {
-            acc += vector::dot(p, &utilities[0]);
-        }
-        std::hint::black_box(acc);
-    });
-    let dot_after = min_ms(20, || {
-        let mut acc = 0.0f64;
-        for p in flat.chunks_exact(sd) {
-            acc += isrl_linalg::simd::dot(p, &utilities[0]);
-        }
-        std::hint::black_box(acc);
-    });
-    table.push_row(vec![
-        "dot_simd".into(),
-        format!("n={} d={sd}", data.len()),
-        format!("{dot_before:.2}"),
-        format!("{dot_after:.2}"),
-        f2(dot_before / dot_after),
-    ]);
-
-    // Data layout: the blocked row-major scan above vs the
-    // structure-of-arrays scan streaming one dimension at a time
-    // (`ScanBackend::Auto`'s choice), and the f32-with-f64-rescan
-    // variant. `before_ms` is the row-major blocked scalar kernel —
-    // the acceptance target is soa >= 1.5x over it at this shape.
     let soa = data.soa();
     let soa_ms = min_ms(4, || {
         std::hint::black_box(isrl_linalg::top1_soa(&utilities, soa));
@@ -373,83 +325,9 @@ fn kernel_before_after() -> Table {
     table.push_row(vec![
         "top1_soa".into(),
         format!("n={} d={sd} k={}", data.len(), utilities.len()),
-        format!("{after:.2}"),
+        format!("{reference_ms:.2}"),
         format!("{soa_ms:.2}"),
-        f2(after / soa_ms),
-    ]);
-    let f32_ms = min_ms(4, || {
-        std::hint::black_box(isrl_linalg::top1_soa_f32(&utilities, soa, flat));
-    });
-    table.push_row(vec![
-        "top1_soa_f32".into(),
-        format!("n={} d={sd} k={}", data.len(), utilities.len()),
-        format!("{after:.2}"),
-        format!("{f32_ms:.2}"),
-        f2(after / f32_ms),
-    ]);
-
-    // Serve path: the same multi-session registry pump as perf_check's
-    // serve bench (scan-heavy at this n), before = forced scalar
-    // row-major backend, after = the Auto (SoA + SIMD) backend every
-    // serving deployment gets by default.
-    let serve_before = serve_pump_ms(isrl_linalg::ScanBackend::Scalar);
-    let serve_after = serve_pump_ms(isrl_linalg::ScanBackend::Auto);
-    isrl_linalg::set_scan_backend(isrl_linalg::ScanBackend::Auto);
-    table.push_row(vec![
-        "serve_registry_scan".into(),
-        "sessions=16 n=20000 d=4".into(),
-        format!("{serve_before:.2}"),
-        format!("{serve_after:.2}"),
-        f2(serve_before / serve_after),
+        f2(reference_ms / soa_ms),
     ]);
     table
-}
-
-/// Wall milliseconds to drive 16 untrained-EA sessions to completion
-/// through one `SessionRegistry` (coalesced cross-user scan batches)
-/// under the given scan backend. The backends are bit-exact, so every
-/// session asks the identical question sequence — the delta is pure
-/// kernel/layout speed. Best of 2 runs after a warm-up.
-fn serve_pump_ms(backend: isrl_linalg::ScanBackend) -> f64 {
-    use std::sync::Arc;
-    isrl_linalg::set_scan_backend(backend);
-    let data = Arc::new(generate(20_000, 4, Distribution::AntiCorrelated, 9));
-    let d = data.dim();
-    let n_sessions = 16usize;
-    let eps = 0.15;
-    let users = sample_users(d, n_sessions, 17);
-    let policy = Arc::new(ServePolicy::Ea(EaAgent::new(
-        d,
-        EaConfig::paper_default().with_seed(4),
-    )));
-    let run_once = || -> f64 {
-        let mut registry = SessionRegistry::new(Arc::clone(&data));
-        registry.register(Arc::clone(&policy));
-        let ids: Vec<u64> = (0..n_sessions)
-            .map(|i| registry.open(AlgoKind::Ea, eps, 0x5eed + i as u64).unwrap())
-            .collect();
-        let t0 = std::time::Instant::now();
-        loop {
-            registry.pump_all();
-            let mut any_open = false;
-            for (k, id) in ids.iter().enumerate() {
-                let Some(session) = registry.session(*id) else {
-                    continue;
-                };
-                if session.is_finished() {
-                    continue;
-                }
-                any_open = true;
-                let (p1, p2) = session.current_points().expect("pumped sessions ask");
-                let prefers = vector::dot(&users[k], p1) >= vector::dot(&users[k], p2);
-                registry.answer(*id, prefers).unwrap();
-            }
-            if !any_open {
-                break;
-            }
-        }
-        t0.elapsed().as_secs_f64() * 1e3
-    };
-    run_once(); // warm-up (also builds the SoA mirror outside timing)
-    run_once().min(run_once())
 }

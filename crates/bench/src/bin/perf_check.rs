@@ -4,15 +4,16 @@
 //!
 //! * `kernel.vertex_update` — incremental vertex enumeration on a 14-cut
 //!   region at d = 4 (the hot-path layer's headline kernel);
-//! * `kernel.top1_batch` — the batched top-1 utility scan at n = 50k,
-//!   d = 20, 32 utility vectors;
+//! * `kernel.top1_batch` — the scalar reference top-1 utility scan (one
+//!   row-major pass per utility vector) at n = 50k, d = 20, 32 utility
+//!   vectors. Older `BENCH_history.jsonl` entries timed a cache-blocked
+//!   row-major scan under this name, which measured within a few percent
+//!   of the per-utility loop;
 //! * `kernel.dot` — the scalar dot product over a 20k × 24 flat buffer
-//!   (the innermost loop of every utility scan);
-//! * `kernel.dot_simd` — the same sweep through the runtime-detected
-//!   AVX2 `simd::dot` (bit-identical results, fewer instructions);
+//!   (the innermost loop of the reference scan);
 //! * `scan.top1_soa` — the structure-of-arrays top-1 scan at the same
 //!   shape as `kernel.top1_batch` (n = 50k, d = 20, 32 utilities), the
-//!   default (`ScanBackend::Auto`) serving/estimator scan path;
+//!   kernel every `Dataset` scan (serving, estimator, EA/AA) runs;
 //! * `lp.warm_replay` / `lp.cold_replay` — the warm-started vs cold LP
 //!   replay of a 15-cut sequence at d = 8 with candidate-cut probes;
 //! * `geom.cloud_cut` — building a d = 20 sample cloud and pushing a
@@ -159,20 +160,6 @@ fn kernel_dot() -> f64 {
         let mut acc = 0.0f64;
         for p in flat.chunks_exact(d) {
             acc += isrl_linalg::vector::dot(p, &u);
-        }
-        black_box(acc);
-    })
-}
-
-fn kernel_dot_simd() -> f64 {
-    let data = generate(20_000, 24, Distribution::Independent, 13);
-    let d = data.dim();
-    let u = sample_users(d, 1, 14).pop().expect("one user");
-    let flat = data.as_flat();
-    bench(|| {
-        let mut acc = 0.0f64;
-        for p in flat.chunks_exact(d) {
-            acc += isrl_linalg::simd::dot(p, &u);
         }
         black_box(acc);
     })
@@ -444,7 +431,6 @@ fn main() {
     metrics.insert("kernel.vertex_update".into(), kernel_vertex_update());
     metrics.insert("kernel.top1_batch".into(), kernel_top1_batch());
     metrics.insert("kernel.dot".into(), kernel_dot());
-    metrics.insert("kernel.dot_simd".into(), kernel_dot_simd());
     metrics.insert("scan.top1_soa".into(), scan_top1_soa());
     let (warm, cold) = lp_replays();
     metrics.insert("lp.warm_replay".into(), warm);

@@ -45,7 +45,7 @@ pub const TOLERANCES: &[(&str, f64)] = &[
     // coalesced scans) and include a p99 pump tail, so they get the same
     // wide band as the other tail quantiles.
     ("serve.", 0.60),
-    // Single-digit-millisecond SIMD/SoA scan kernels: same jitter class
+    // Single-digit-millisecond SoA scan kernel: same jitter class
     // as `kernel.*`.
     ("scan.", 0.50),
 ];

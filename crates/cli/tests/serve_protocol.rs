@@ -13,6 +13,9 @@
 //! * request-id echo (DESIGN.md §16) — every `question` carries a `req`
 //!   id; an answer echoing the wrong id is rejected with a
 //!   `req_mismatch` error frame while the pending round stays answerable;
+//! * the frame-length cap — a line longer than 64 KiB gets one
+//!   `frame_too_long` error frame and its connection is closed, while
+//!   other connections' sessions keep their golden transcripts;
 //! * the read-only `stats` frame — a live RED-metrics snapshot with its
 //!   documented sections, and a malformed `stats` request erroring
 //!   without collateral;
@@ -350,6 +353,53 @@ fn malformed_frames_get_error_frames_without_collateral() {
         .and_then(|n| n.parse().ok())
         .unwrap_or_else(|| panic!("no sessions line in stdout:\n{stdout}"));
     assert!(errors >= 7, "expected >= 7 error frames, saw {errors}");
+}
+
+#[test]
+fn oversize_line_closes_its_connection_without_collateral() {
+    let ckpt = train_ckpt("oversize");
+    let (server, port) = Server::start(&ckpt, "oversize");
+    let golden = run_session(&mut Conn::open(port), 5);
+
+    // One peer streams up to 4 MiB without ever sending a newline. The
+    // server must cut it off at 64 KiB; past that, writes fail once the
+    // connection is closed.
+    let mut hog = Conn::open(port);
+    hog.writer
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut hog_writer = hog.writer.try_clone().unwrap();
+    let streamer = std::thread::spawn(move || {
+        let chunk = [b'x'; 4096];
+        for _ in 0..1024 {
+            if hog_writer.write_all(&chunk).is_err() {
+                return;
+            }
+        }
+    });
+
+    // Meanwhile a second connection runs a full session, unperturbed.
+    let mut other = Conn::open(port);
+    assert_eq!(golden, run_session(&mut other, 5));
+
+    // The hog gets exactly one error frame, then the connection closes.
+    let resp = hog.recv();
+    assert_eq!(kind_of(&resp), "error", "oversize line: {resp}");
+    assert!(
+        resp.contains("\"code\":\"frame_too_long\""),
+        "expected frame_too_long code: {resp}"
+    );
+    let mut rest = String::new();
+    match hog.reader.read_line(&mut rest) {
+        Ok(0) | Err(_) => {}
+        Ok(_) => panic!("connection stayed open after an oversize line: {rest}"),
+    }
+    streamer.join().unwrap();
+
+    // The server still serves the golden sequence to new connections.
+    assert_eq!(golden, run_session(&mut Conn::open(port), 5));
+    other.send(r#"{"kind":"shutdown"}"#);
+    server.wait();
 }
 
 #[test]

@@ -10,11 +10,17 @@
 //! `u8`, config fields, then the flat `f64` parameter vector of the main
 //! network. The target network is reconstructed as a copy (they are synced
 //! at the end of training).
+//!
+//! Loading validates before it builds: the decoded shape must be one the
+//! agent constructors accept, the stored parameter count must equal the
+//! count that shape implies, and every parameter must be finite. A
+//! corrupt blob is an `Err`, never a panic or a network sized by a
+//! flipped bit.
 
-use crate::aa::{AaAgent, AaConfig, PairGenConfig};
-use crate::ea::{EaAgent, EaConfig, StateVariant};
-use bytes::{Buf, BufMut};
-use isrl_rl::EpsilonSchedule;
+use crate::aa::{AaAgent, AaConfig, AaSummary, PairGenConfig};
+use crate::ea::{EaAgent, EaConfig, EaStateEncoder, StateVariant};
+use bytes::BufMut;
+use isrl_rl::{DqnConfig, EpsilonSchedule};
 
 const MAGIC: &[u8; 4] = b"ISRL";
 const VERSION: u16 = 1;
@@ -37,6 +43,8 @@ pub enum CheckpointError {
     },
     /// Truncated or internally inconsistent payload.
     Truncated,
+    /// A network parameter is NaN or infinite.
+    NonFinite,
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -48,11 +56,44 @@ impl std::fmt::Display for CheckpointError {
                 write!(f, "checkpoint holds agent tag {found}, expected {expected}")
             }
             CheckpointError::Truncated => write!(f, "truncated checkpoint"),
+            CheckpointError::NonFinite => write!(f, "checkpoint holds non-finite weights"),
         }
     }
 }
 
 impl std::error::Error for CheckpointError {}
+
+/// Bounds-checked little-endian reads over the rest of a blob: running
+/// out of bytes is `Err(Truncated)`, never a panic.
+struct Reader<'a>(&'a [u8]);
+
+impl Reader<'_> {
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], CheckpointError> {
+        if self.0.len() < N {
+            return Err(CheckpointError::Truncated);
+        }
+        let (head, rest) = self.0.split_at(N);
+        self.0 = rest;
+        Ok(head.try_into().expect("length checked above"))
+    }
+
+    fn u8(&mut self) -> Result<u8, CheckpointError> {
+        Ok(self.take::<1>()?[0])
+    }
+
+    /// A `u32` field, widened to `usize`.
+    fn u32(&mut self) -> Result<usize, CheckpointError> {
+        Ok(u32::from_le_bytes(self.take()?) as usize)
+    }
+
+    fn u64(&mut self) -> Result<u64, CheckpointError> {
+        Ok(u64::from_le_bytes(self.take()?))
+    }
+
+    fn f64(&mut self) -> Result<f64, CheckpointError> {
+        Ok(f64::from_le_bytes(self.take()?))
+    }
+}
 
 fn put_schedule(buf: &mut Vec<u8>, s: &EpsilonSchedule) {
     match *s {
@@ -69,24 +110,21 @@ fn put_schedule(buf: &mut Vec<u8>, s: &EpsilonSchedule) {
     }
 }
 
-fn get_schedule(buf: &mut &[u8]) -> Result<EpsilonSchedule, CheckpointError> {
-    if buf.remaining() < 1 {
-        return Err(CheckpointError::Truncated);
-    }
-    match buf.get_u8() {
+fn get_schedule(r: &mut Reader) -> Result<EpsilonSchedule, CheckpointError> {
+    let unit = |x: f64| (0.0..=1.0).contains(&x);
+    match r.u8()? {
         0 => {
-            if buf.remaining() < 8 {
+            let eps = r.f64()?;
+            if !unit(eps) {
                 return Err(CheckpointError::Truncated);
             }
-            Ok(EpsilonSchedule::constant(buf.get_f64_le()))
+            Ok(EpsilonSchedule::constant(eps))
         }
         1 => {
-            if buf.remaining() < 24 {
+            let (start, end, steps) = (r.f64()?, r.f64()?, r.u64()?);
+            if !unit(start) || !unit(end) || steps == 0 {
                 return Err(CheckpointError::Truncated);
             }
-            let start = buf.get_f64_le();
-            let end = buf.get_f64_le();
-            let steps = buf.get_u64_le();
             Ok(EpsilonSchedule::linear(start, end, steps))
         }
         _ => Err(CheckpointError::Truncated),
@@ -100,15 +138,26 @@ fn put_params(buf: &mut Vec<u8>, params: &[f64]) {
     }
 }
 
-fn get_params(buf: &mut &[u8]) -> Result<Vec<f64>, CheckpointError> {
-    if buf.remaining() < 4 {
+/// Reads the parameter vector, which must hold exactly the `expected`
+/// count implied by the decoded shape (`None`: the shape overflows) and
+/// only finite values.
+fn get_params(r: &mut Reader, expected: Option<usize>) -> Result<Vec<f64>, CheckpointError> {
+    let len = r.u32()?;
+    if Some(len) != expected || r.0.len() < len * 8 {
         return Err(CheckpointError::Truncated);
     }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len * 8 {
-        return Err(CheckpointError::Truncated);
+    let params = (0..len).map(|_| r.f64()).collect::<Result<Vec<_>, _>>()?;
+    if params.iter().any(|p| !p.is_finite()) {
+        return Err(CheckpointError::NonFinite);
     }
-    Ok((0..len).map(|_| buf.get_f64_le()).collect())
+    Ok(params)
+}
+
+/// Q-network parameter count of an agent over `dim` attributes with a
+/// `state_dim`-wide state: the network both agent constructors build
+/// (`DqnConfig::paper_default(state_dim, 2 * dim)`). `None` on overflow.
+fn agent_params(state_dim: usize, dim: usize) -> Option<usize> {
+    DqnConfig::paper_default(state_dim, dim.checked_mul(2)?).n_params()
 }
 
 fn header(tag: u8) -> Vec<u8> {
@@ -119,20 +168,18 @@ fn header(tag: u8) -> Vec<u8> {
     buf
 }
 
-fn check_header(buf: &mut &[u8], expected_tag: u8) -> Result<(), CheckpointError> {
-    if buf.remaining() < 7 {
+fn check_header(r: &mut Reader, expected_tag: u8) -> Result<(), CheckpointError> {
+    if r.0.len() < 7 {
         return Err(CheckpointError::Truncated);
     }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    if &r.take::<4>()? != MAGIC {
         return Err(CheckpointError::BadMagic);
     }
-    let version = buf.get_u16_le();
+    let version = u16::from_le_bytes(r.take()?);
     if version != VERSION {
         return Err(CheckpointError::BadVersion(version));
     }
-    let tag = buf.get_u8();
+    let tag = r.u8()?;
     if tag != expected_tag {
         return Err(CheckpointError::WrongAgent {
             found: tag,
@@ -174,51 +221,33 @@ pub fn save_ea(agent: &EaAgent) -> Vec<u8> {
 }
 
 /// Restores an EA agent from [`save_ea`] output.
-pub fn load_ea(mut bytes: &[u8]) -> Result<EaAgent, CheckpointError> {
-    let buf = &mut bytes;
-    check_header(buf, TAG_EA)?;
-    if buf.remaining() < 4 * 6 + 8 * 4 + 8 * 2 {
-        return Err(CheckpointError::Truncated);
-    }
-    let dim = buf.get_u32_le() as usize;
+pub fn load_ea(bytes: &[u8]) -> Result<EaAgent, CheckpointError> {
+    let r = &mut Reader(bytes);
+    check_header(r, TAG_EA)?;
+    let dim = r.u32()?;
     let cfg = EaConfig {
-        m_e: buf.get_u32_le() as usize,
-        d_eps: buf.get_f64_le(),
-        state_variant: {
-            if buf.remaining() < 1 {
-                return Err(CheckpointError::Truncated);
-            }
-            match buf.get_u8() {
-                0 => StateVariant::Full,
-                1 => StateVariant::RepsOnly,
-                2 => StateVariant::SphereOnly,
-                3 => StateVariant::StridedReps,
-                _ => return Err(CheckpointError::Truncated),
-            }
+        m_e: r.u32()?,
+        d_eps: r.f64()?,
+        state_variant: match r.u8()? {
+            0 => StateVariant::Full,
+            1 => StateVariant::RepsOnly,
+            2 => StateVariant::SphereOnly,
+            3 => StateVariant::StridedReps,
+            _ => return Err(CheckpointError::Truncated),
         },
-        m_h: buf.get_u32_le() as usize,
-        n_samples: buf.get_u32_le() as usize,
-        reward_c: buf.get_f64_le(),
-        max_rounds: buf.get_u32_le() as usize,
-        gamma: buf.get_f64_le(),
-        lr: buf.get_f64_le(),
-        replay_capacity: buf.get_u32_le() as usize,
-        batch_size: buf.get_u32_le() as usize,
-        target_sync_every: buf.get_u64_le(),
-        train_steps_per_round: {
-            if buf.remaining() < 5 {
-                return Err(CheckpointError::Truncated);
-            }
-            buf.get_u32_le() as usize
-        },
-        use_adam: buf.get_u8() != 0,
-        epsilon: get_schedule(buf)?,
-        seed: {
-            if buf.remaining() < 16 {
-                return Err(CheckpointError::Truncated);
-            }
-            buf.get_u64_le()
-        },
+        m_h: r.u32()?,
+        n_samples: r.u32()?,
+        reward_c: r.f64()?,
+        max_rounds: r.u32()?,
+        gamma: r.f64()?,
+        lr: r.f64()?,
+        replay_capacity: r.u32()?,
+        batch_size: r.u32()?,
+        target_sync_every: r.u64()?,
+        train_steps_per_round: r.u32()?,
+        use_adam: r.u8()? != 0,
+        epsilon: get_schedule(r)?,
+        seed: r.u64()?,
         // Not persisted: the geometry backend is a serving-time
         // speed/fidelity choice, not learned state (the state encoder's
         // shape is identical either way), so restored agents get the
@@ -227,12 +256,16 @@ pub fn load_ea(mut bytes: &[u8]) -> Result<EaAgent, CheckpointError> {
         geometry: isrl_geometry::GeometryBackend::default(),
         walk: isrl_geometry::WalkConfig::default(),
     };
-    let episodes = buf.get_u64_le();
-    let params = get_params(buf)?;
-    let mut agent = EaAgent::new(dim, cfg);
-    if params.len() != agent.dqn().network().n_params() {
+    let episodes = r.u64()?;
+    // Shapes `EaAgent::new` would reject by panicking.
+    if dim < 2 || cfg.m_e == 0 || cfg.d_eps.is_nan() || cfg.d_eps <= 0.0 || cfg.replay_capacity == 0
+    {
         return Err(CheckpointError::Truncated);
     }
+    let state_dim =
+        EaStateEncoder::with_variant(dim, cfg.m_e, cfg.d_eps, cfg.state_variant).state_dim();
+    let params = get_params(r, agent_params(state_dim, dim))?;
+    let mut agent = EaAgent::new(dim, cfg);
     agent.restore(&params, episodes);
     Ok(agent)
 }
@@ -264,52 +297,40 @@ pub fn save_aa(agent: &AaAgent) -> Vec<u8> {
 }
 
 /// Restores an AA agent from [`save_aa`] output.
-pub fn load_aa(mut bytes: &[u8]) -> Result<AaAgent, CheckpointError> {
-    let buf = &mut bytes;
-    check_header(buf, TAG_AA)?;
-    if buf.remaining() < 4 * 7 + 1 + 8 * 4 {
-        return Err(CheckpointError::Truncated);
-    }
-    let dim = buf.get_u32_le() as usize;
+pub fn load_aa(bytes: &[u8]) -> Result<AaAgent, CheckpointError> {
+    let r = &mut Reader(bytes);
+    check_header(r, TAG_AA)?;
+    let dim = r.u32()?;
     let cfg = AaConfig {
-        m_h: buf.get_u32_le() as usize,
+        m_h: r.u32()?,
         pair_gen: PairGenConfig {
-            top_k: buf.get_u32_le() as usize,
-            random_pairs: buf.get_u32_le() as usize,
-            max_lp_checks: buf.get_u32_le() as usize,
-            rank_by_distance: buf.get_u8() != 0,
+            top_k: r.u32()?,
+            random_pairs: r.u32()?,
+            max_lp_checks: r.u32()?,
+            rank_by_distance: r.u8()? != 0,
         },
-        reward_c: buf.get_f64_le(),
-        max_rounds: buf.get_u32_le() as usize,
-        gamma: buf.get_f64_le(),
-        lr: buf.get_f64_le(),
-        replay_capacity: buf.get_u32_le() as usize,
-        batch_size: buf.get_u32_le() as usize,
-        target_sync_every: buf.get_u64_le(),
-        train_steps_per_round: {
-            if buf.remaining() < 5 {
-                return Err(CheckpointError::Truncated);
-            }
-            buf.get_u32_le() as usize
-        },
-        use_adam: buf.get_u8() != 0,
-        epsilon: get_schedule(buf)?,
-        seed: {
-            if buf.remaining() < 16 {
-                return Err(CheckpointError::Truncated);
-            }
-            buf.get_u64_le()
-        },
+        reward_c: r.f64()?,
+        max_rounds: r.u32()?,
+        gamma: r.f64()?,
+        lr: r.f64()?,
+        replay_capacity: r.u32()?,
+        batch_size: r.u32()?,
+        target_sync_every: r.u64()?,
+        train_steps_per_round: r.u32()?,
+        use_adam: r.u8()? != 0,
+        epsilon: get_schedule(r)?,
+        seed: r.u64()?,
         // Not persisted: a pure speed knob with no effect on outcomes, so
         // restored agents always get the (default) warm path.
         warm_lp: true,
     };
-    let episodes = buf.get_u64_le();
-    let params = get_params(buf)?;
-    let mut agent = AaAgent::new(dim, cfg);
-    if params.len() != agent.dqn().network().n_params() {
+    let episodes = r.u64()?;
+    // Shapes `AaAgent::new` would reject by panicking.
+    if dim == 0 || cfg.replay_capacity == 0 {
         return Err(CheckpointError::Truncated);
     }
+    let params = get_params(r, agent_params(AaSummary::state_dim(dim), dim))?;
+    let mut agent = AaAgent::new(dim, cfg);
     agent.restore(&params, episodes);
     Ok(agent)
 }
@@ -373,6 +394,42 @@ mod tests {
         );
     }
 
+    /// Every truncation of `blob` is rejected; every single-bit flip of
+    /// its header and config bytes (everything before the parameter
+    /// values, the count included) and a seeded sample of parameter-bit
+    /// flips either is rejected or loads an agent with all-finite weights.
+    /// A panic or an oversized allocation fails the test run.
+    fn assert_corruption_is_contained(
+        blob: &[u8],
+        n_params: usize,
+        load: impl Fn(&[u8]) -> Result<Vec<f64>, CheckpointError>,
+    ) {
+        for cut in 0..blob.len() {
+            assert!(load(&blob[..cut]).is_err(), "cut {cut} accepted");
+        }
+        let params_at = blob.len() - 8 * n_params;
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let sampled = (0..512).map(|_| {
+            // SplitMix64 over the parameter bytes' bit positions.
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            params_at * 8 + ((z ^ (z >> 31)) % (8 * 8 * n_params as u64)) as usize
+        });
+        let mut corrupt = blob.to_vec();
+        for bit in (0..params_at * 8).chain(sampled) {
+            corrupt[bit / 8] ^= 1 << (bit % 8);
+            if let Ok(weights) = load(&corrupt) {
+                assert!(
+                    weights.iter().all(|w| w.is_finite()),
+                    "bit {bit}: non-finite weights loaded"
+                );
+            }
+            corrupt[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
     #[test]
     fn wrong_magic_and_truncation_are_rejected() {
         assert!(matches!(load_ea(b"nope"), Err(CheckpointError::Truncated)));
@@ -380,10 +437,24 @@ mod tests {
             load_ea(b"XXXX\x01\x00\x01rest"),
             Err(CheckpointError::BadMagic)
         ));
-        let agent = EaAgent::new(2, EaConfig::paper_default());
-        let blob = save_ea(&agent);
-        for cut in [8usize, blob.len() / 2, blob.len() - 3] {
-            assert!(load_ea(&blob[..cut]).is_err(), "cut {cut} accepted");
+
+        let mut cfg = EaConfig::paper_default();
+        cfg.epsilon = EpsilonSchedule::linear(0.9, 0.1, 500);
+        let ea = EaAgent::new(3, cfg);
+        assert_corruption_is_contained(&save_ea(&ea), ea.dqn().network().n_params(), |b| {
+            load_ea(b).map(|a| a.dqn().network().to_flat())
+        });
+        let aa = AaAgent::new(3, AaConfig::paper_default());
+        assert_corruption_is_contained(&save_aa(&aa), aa.dqn().network().n_params(), |b| {
+            load_aa(b).map(|a| a.dqn().network().to_flat())
+        });
+
+        // A weight overwritten with a non-finite value is rejected.
+        let mut blob = save_aa(&aa);
+        let at = blob.len() - 8;
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            blob[at..].copy_from_slice(&bad.to_le_bytes());
+            assert_eq!(load_aa(&blob).unwrap_err(), CheckpointError::NonFinite);
         }
     }
 

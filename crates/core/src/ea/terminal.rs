@@ -44,9 +44,9 @@ pub fn in_terminal_polyhedron(data: &Dataset, i: usize, u: &[f64], eps: f64) -> 
 /// polyhedron is `T_{argmax(u)}` by the shortcut above). Order follows
 /// first appearance.
 ///
-/// All argmaxes come from one cache-blocked [`Dataset::top1_batch`] pass —
-/// bit-identical to a per-vector [`Dataset::argmax_utility`] scan, but the
-/// point buffer is streamed once instead of once per utility vector.
+/// All argmaxes come from one [`Dataset::top1_batch`] call (the SoA scan
+/// kernel) — bit-identical to a per-vector [`Dataset::argmax_utility`]
+/// scan.
 pub fn terminal_points<'a>(
     data: &Dataset,
     utilities: impl Iterator<Item = &'a Vec<f64>>,

@@ -57,7 +57,7 @@ pub fn max_regret_estimate(
     if samples.is_empty() {
         return None;
     }
-    // One cache-blocked pass for every sample's best utility value (the
+    // One batched scan for every sample's best utility value (the
     // numerator's `max_p f_u(p)`), instead of a full dataset scan per
     // sample. Same dot products and tie-breaking as `regret_ratio_of_index`.
     let q = data.point(point_index);

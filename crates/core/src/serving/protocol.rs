@@ -117,7 +117,8 @@ pub enum ServerFrame {
         /// The client-supplied request id, when the rejected frame had one.
         req: Option<u64>,
         /// Machine-readable error kind (`parse`, `unknown_session`,
-        /// `stale_round`, `req_mismatch`, `no_pending`, `open`).
+        /// `stale_round`, `req_mismatch`, `no_pending`, `open`,
+        /// `frame_too_long`).
         code: String,
         /// Human-readable reason.
         message: String,

@@ -23,9 +23,13 @@
 //! where the time went. The profile scope and flight recorder are armed
 //! only while the telemetry sink is enabled, so an untraced server keeps
 //! the zero-instrumentation fast path.
+//!
+//! A client line longer than [`MAX_LINE_BYTES`] is answered with one
+//! `frame_too_long` error frame and its connection is closed, so a peer
+//! that never sends `\n` cannot grow server memory without bound.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -38,6 +42,10 @@ use crate::serving::{BatchStats, ServePolicy, SessionRegistry};
 use isrl_data::Dataset;
 use isrl_obs::json::Json;
 use isrl_obs::{FlightRecord, FlightRecorder, RollingSketch};
+
+/// Longest client line the reader threads accept, in bytes (without the
+/// newline). Legitimate frames are a few hundred bytes.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Reactor knobs.
 #[derive(Debug, Clone)]
@@ -105,6 +113,8 @@ enum Msg {
     NewConn(u64, TcpStream),
     /// One line from a connection.
     Line(u64, String),
+    /// A connection sent a line longer than [`MAX_LINE_BYTES`].
+    Oversize(u64),
     /// A connection's reader hit EOF or an error.
     Closed(u64),
     /// Stop serving ([`ServerHandle::shutdown`]).
@@ -199,16 +209,55 @@ fn accept_loop(listener: TcpListener, tx: Sender<Msg>, stop: Arc<AtomicBool>) {
         }
         let tx = tx.clone();
         std::thread::spawn(move || {
-            let reader = BufReader::new(stream);
-            for line in reader.lines() {
-                let Ok(line) = line else { break };
-                if tx.send(Msg::Line(conn, line)).is_err() {
-                    return;
+            let mut reader = BufReader::new(stream);
+            loop {
+                match read_line_capped(&mut reader) {
+                    Ok(Some(line)) => {
+                        if tx.send(Msg::Line(conn, line)).is_err() {
+                            return;
+                        }
+                    }
+                    Err(LineError::TooLong) => {
+                        let _ = tx.send(Msg::Oversize(conn));
+                        break;
+                    }
+                    Ok(None) | Err(LineError::Io) => break,
                 }
             }
             let _ = tx.send(Msg::Closed(conn));
         });
     }
+}
+
+enum LineError {
+    /// The line exceeds [`MAX_LINE_BYTES`].
+    TooLong,
+    /// A read error or invalid UTF-8 (as `BufRead::lines` reports).
+    Io,
+}
+
+/// Reads one `\n`-terminated line (a trailing `\r` is stripped, as
+/// `BufRead::lines` does), buffering at most [`MAX_LINE_BYTES`] + 1 bytes.
+/// `Ok(None)` at end of stream.
+fn read_line_capped(reader: &mut impl BufRead) -> Result<Option<String>, LineError> {
+    let mut buf = Vec::new();
+    let n = reader
+        .take(MAX_LINE_BYTES as u64 + 1)
+        .read_until(b'\n', &mut buf)
+        .map_err(|_| LineError::Io)?;
+    if n == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    }
+    if buf.len() > MAX_LINE_BYTES {
+        return Err(LineError::TooLong);
+    }
+    String::from_utf8(buf).map(Some).map_err(|_| LineError::Io)
 }
 
 /// One request accepted this batch, owing its connection a frame.
@@ -340,6 +389,20 @@ impl Core {
                 }
             }
             Msg::Line(conn, line) => self.handle_line(conn, &line),
+            Msg::Oversize(conn) => {
+                self.error(
+                    conn,
+                    None,
+                    None,
+                    "frame_too_long",
+                    format!("line exceeds {MAX_LINE_BYTES} bytes; closing the connection"),
+                );
+                // The reader thread has stopped; its `Closed` follows and
+                // drops the connection's sessions.
+                if let Some(stream) = self.writers.remove(&conn) {
+                    let _ = stream.shutdown(Shutdown::Both);
+                }
+            }
             Msg::Stop => self.stopping = true,
         }
     }

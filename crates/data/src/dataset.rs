@@ -6,22 +6,21 @@
 //! stream linearly through memory — those scans dominate per-round cost for
 //! the EA terminal machinery and every baseline. A column-major
 //! (structure-of-arrays) mirror is built lazily on first use so the batched
-//! scan backends can stream each dimension contiguously (see
+//! scans can stream each dimension contiguously (see
 //! [`Dataset::top1_batch`] and DESIGN.md §15).
 
-use isrl_linalg::{vector, ScanBackend, SoaBuffer};
-use serde::{Deserialize, Serialize};
+use isrl_linalg::{vector, SoaBuffer};
 use std::sync::OnceLock;
 
 /// A dataset of `d`-dimensional points in `(0, 1]^d`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dataset {
     dim: usize,
     /// Row-major point buffer, `len == n * dim`.
     data: Vec<f64>,
     /// Optional human-readable attribute names (len == dim when present).
     attributes: Vec<String>,
-    /// Lazily-built column-major mirror backing the SoA scan backends.
+    /// Lazily-built column-major mirror backing the batched scans.
     soa: OnceLock<SoaBuffer>,
 }
 
@@ -146,51 +145,34 @@ impl Dataset {
 
     /// The column-major (structure-of-arrays) mirror of the point buffer,
     /// built on first use and retained for the dataset's lifetime. Backs
-    /// the SoA scan backends; see [`isrl_linalg::soa`].
+    /// the batched scans; see [`isrl_linalg::soa`].
     pub fn soa(&self) -> &SoaBuffer {
         self.soa
             .get_or_init(|| SoaBuffer::from_flat(&self.data, self.dim))
     }
 
-    /// Top-1 point per utility vector in one cache-blocked pass over the
-    /// point buffer. Identical results to calling
-    /// [`Dataset::argmax_utility`] / [`Dataset::max_utility`] per vector,
-    /// but the buffer is streamed once instead of once per vector.
-    ///
-    /// Dispatches on the process-wide [`ScanBackend`]
-    /// (`ISRL_SCAN_BACKEND` / [`isrl_linalg::set_scan_backend`]); every
-    /// backend returns bit-identical results, so the knob only changes
-    /// speed. This is the scan entry point for the max-regret estimator,
-    /// EA terminal/candidate scans, and `SessionRegistry`'s coalesced
-    /// serve batches.
+    /// Top-1 point per utility vector in one pass over the column-major
+    /// mirror ([`isrl_linalg::top1_soa`]). Identical results, bit for bit,
+    /// to calling [`Dataset::argmax_utility`] / [`Dataset::max_utility`]
+    /// (or [`isrl_linalg::top1_scalar`]) per vector. This is the scan
+    /// entry point for the max-regret estimator, EA terminal/candidate
+    /// scans, and `SessionRegistry`'s coalesced serve batches.
     ///
     /// # Panics
     /// Panics on an empty dataset or a utility-vector dimension mismatch.
     pub fn top1_batch<U: AsRef<[f64]>>(&self, utilities: &[U]) -> Vec<isrl_linalg::Top1> {
-        match isrl_linalg::scan_backend().resolve() {
-            ScanBackend::Scalar => isrl_linalg::top1_batch(utilities, &self.data, self.dim),
-            ScanBackend::Simd => isrl_linalg::top1_batch_simd(utilities, &self.data, self.dim),
-            ScanBackend::Soa => isrl_linalg::top1_soa(utilities, self.soa()),
-            ScanBackend::SoaF32 => isrl_linalg::top1_soa_f32(utilities, self.soa(), &self.data),
-            ScanBackend::Auto => unreachable!("resolve() never returns Auto"),
-        }
+        isrl_linalg::top1_soa(utilities, self.soa())
     }
 
     /// Every point's utility w.r.t. `u`, written into `out` (cleared
     /// first) — the single pass backing top-k selection (AA's candidate
-    /// actions). Dispatches on the process-wide [`ScanBackend`] like
-    /// [`Dataset::top1_batch`]; the f32 backend uses the exact f64 SoA
-    /// path since full score lists cannot be candidate-filtered.
+    /// actions). Bit-identical to [`isrl_linalg::row_dots`] over the
+    /// row-major buffer.
     ///
     /// # Panics
     /// Panics on a utility-vector dimension mismatch.
     pub fn utilities_into(&self, u: &[f64], out: &mut Vec<f64>) {
-        match isrl_linalg::scan_backend().resolve() {
-            ScanBackend::Scalar => isrl_linalg::row_dots(&self.data, self.dim, u, out),
-            ScanBackend::Simd => isrl_linalg::row_dots_simd(&self.data, self.dim, u, out),
-            ScanBackend::Soa | ScanBackend::SoaF32 => isrl_linalg::row_dots_soa(self.soa(), u, out),
-            ScanBackend::Auto => unreachable!("resolve() never returns Auto"),
-        }
+        isrl_linalg::row_dots_soa(self.soa(), u, out)
     }
 
     /// A new dataset keeping only the given indices (preserving order).

@@ -1,26 +1,12 @@
-//! Dataset-level backend dispatch: `Dataset::top1_batch` and
-//! `Dataset::utilities_into` must return bit-identical results under every
-//! [`ScanBackend`], and must honor whatever backend the ambient
-//! `ISRL_SCAN_BACKEND` selects (the CI `kernel-differential` job runs this
-//! binary with each forced value).
+//! Dataset-level scans: `Dataset::top1_batch` and `Dataset::utilities_into`
+//! run the SoA kernel and must return results bit-identical to the scalar
+//! reference (`top1_scalar` / `row_dots` over the row-major buffer).
 
 use isrl_data::{generate, Distribution};
-use isrl_linalg::{scan_backend, set_scan_backend, ScanBackend, Top1};
+use isrl_linalg::Top1;
 
-const ALL: [ScanBackend; 5] = [
-    ScanBackend::Auto,
-    ScanBackend::Scalar,
-    ScanBackend::Simd,
-    ScanBackend::Soa,
-    ScanBackend::SoaF32,
-];
-
-/// One test fn sweeps every backend so the process-global knob is never
-/// mutated concurrently; the ambient (env-chosen) backend is restored
-/// afterwards for any sibling test.
 #[test]
-fn dataset_scans_are_bit_identical_under_every_backend() {
-    let ambient = scan_backend();
+fn dataset_scans_are_bit_identical_to_the_scalar_reference() {
     let data = generate(3000, 7, Distribution::AntiCorrelated, 42);
     let utilities: Vec<Vec<f64>> = (0..9)
         .map(|i| {
@@ -32,36 +18,29 @@ fn dataset_scans_are_bit_identical_under_every_backend() {
         })
         .collect();
 
-    // Scalar reference, computed without the dispatcher.
     let reference: Vec<Top1> = utilities
         .iter()
         .map(|u| isrl_linalg::top1_scalar(u, data.as_flat(), data.dim()))
         .collect();
+    let got = data.top1_batch(&utilities);
+    assert_eq!(got.len(), reference.len(), "result count");
+    for (k, (g, r)) in got.iter().zip(&reference).enumerate() {
+        assert_eq!(g.index, r.index, "index, utility {k}");
+        assert_eq!(g.value.to_bits(), r.value.to_bits(), "value, utility {k}");
+    }
+
     let mut ref_dots = Vec::new();
     isrl_linalg::row_dots(data.as_flat(), data.dim(), &utilities[0], &mut ref_dots);
-
-    for backend in ALL {
-        set_scan_backend(backend);
-        let got = data.top1_batch(&utilities);
-        for (k, (g, r)) in got.iter().zip(&reference).enumerate() {
-            assert_eq!(g.index, r.index, "{backend:?}: index, utility {k}");
-            assert_eq!(
-                g.value.to_bits(),
-                r.value.to_bits(),
-                "{backend:?}: value, utility {k}"
-            );
-        }
-        let mut dots = Vec::new();
-        data.utilities_into(&utilities[0], &mut dots);
-        assert_eq!(dots.len(), ref_dots.len(), "{backend:?}: score count");
-        for (i, (a, b)) in dots.iter().zip(&ref_dots).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "{backend:?}: score {i}");
-        }
-        // Dispatch agrees with the per-vector scalar entry points too.
-        assert_eq!(got[0].index, data.argmax_utility(&utilities[0]));
-        assert_eq!(got[0].value, data.max_utility(&utilities[0]));
+    let mut dots = Vec::new();
+    data.utilities_into(&utilities[0], &mut dots);
+    assert_eq!(dots.len(), ref_dots.len(), "score count");
+    for (i, (a, b)) in dots.iter().zip(&ref_dots).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "score {i}");
     }
-    set_scan_backend(ambient);
+
+    // The scans agree with the per-vector scalar entry points too.
+    assert_eq!(got[0].index, data.argmax_utility(&utilities[0]));
+    assert_eq!(got[0].value, data.max_utility(&utilities[0]));
 }
 
 #[test]

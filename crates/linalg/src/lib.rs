@@ -4,9 +4,10 @@
 //! This crate provides the small set of numerical primitives everything else
 //! in the workspace is built on: free functions over `&[f64]` slices for
 //! vector arithmetic ([`vector`]), a row-major dense [`matrix::Matrix`],
-//! Gaussian-elimination linear solves ([`solve`]), and cache-blocked
-//! batched utility scans ([`scan`]) with runtime-detected SIMD kernels
-//! ([`simd`]) and a structure-of-arrays layout ([`soa`]).
+//! Gaussian-elimination linear solves ([`solve`]), and top-1 utility
+//! scans: one exact structure-of-arrays kernel ([`soa`], AVX2 when the CPU
+//! has it) and the row-major scalar reference it is tested against
+//! ([`scan`]).
 //!
 //! The geometry kernel (`isrl-geometry`) uses these for hyperplane and
 //! polytope computations; the neural-network crate (`isrl-nn`) uses them for
@@ -17,17 +18,13 @@
 pub mod matrix;
 pub mod norms;
 pub mod scan;
-pub mod simd;
 pub mod soa;
 pub mod solve;
 pub mod vector;
 
 pub use matrix::Matrix;
-pub use scan::{
-    row_dots, row_dots_simd, scan_backend, set_scan_backend, top1_batch, top1_batch_simd,
-    top1_scalar, ScanBackend, Top1,
-};
-pub use soa::{row_dots_soa, top1_soa, top1_soa_f32, SoaBuffer};
+pub use scan::{row_dots, top1_batch, top1_scalar, Top1};
+pub use soa::{row_dots_soa, top1_soa, SoaBuffer};
 pub use solve::{solve_linear_system, SolveError};
 
 /// Absolute tolerance used throughout the workspace for geometric predicates.

@@ -1,20 +1,15 @@
-//! Batched utility scans over row-major point buffers.
+//! The scalar reference for top-1 utility scans over row-major buffers.
 //!
 //! The per-round hot loop of every interactive algorithm in this workspace
 //! is "for each utility vector, find the top-1 point": EA runs it over a
 //! hundred-plus sampled vectors per round, the max-regret estimator over
-//! thousands. Scanning the point buffer once per utility vector is
-//! memory-bound at realistic sizes (`n = 100k, d = 20` is a 16 MB stream),
-//! so [`top1_batch`] blocks the scan: a block of points is loaded once and
-//! scored against *every* utility vector while it is hot in cache, cutting
-//! point-buffer traffic from `k·n·d` to `n·d` reads.
-//!
-//! Every kernel is exact — same dot product, same scan order, same strict
-//! `>` tie-breaking as [`top1_scalar`] — so callers can switch backends
-//! without behavioral change. Faster layouts live in [`crate::soa`]; the
-//! process-wide backend choice is a [`ScanBackend`] (env knob
-//! `ISRL_SCAN_BACKEND`, programmatic [`set_scan_backend`]) that
-//! `Dataset`-level callers dispatch on.
+//! thousands. [`top1_scalar`] and [`row_dots`] are the reference semantics
+//! of that scan — [`vector::dot`] per row, rows in order, strict `>` so the
+//! first index wins ties — and [`top1_batch`] is [`top1_scalar`] per
+//! utility vector. The fast kernel is the structure-of-arrays scan in
+//! [`crate::soa`], which `Dataset` scans always run; it is
+//! differential-tested bit for bit against these references
+//! (`tests/scan_backends.rs`).
 //!
 //! # Non-finite semantics
 //!
@@ -26,12 +21,10 @@
 //! [`TOP1_NAN_COUNTER`] warning counter (`scan.top1_nan`), which
 //! `trace-validate` treats as a hard failure. NaN in a *utility vector*
 //! is a caller bug and trips a `debug_assert`; NaN in the point buffer is
-//! tolerated under the semantics above. All backends (scalar, batched,
-//! SIMD, SoA, SoA-f32) agree bit-for-bit on these cases — pinned by
-//! `tests/scan_backends.rs`.
+//! tolerated under the semantics above. The reference and the SoA kernel
+//! agree bit-for-bit on these cases — pinned by `tests/scan_backends.rs`.
 
-use crate::{simd, vector};
-use std::sync::atomic::{AtomicU8, Ordering};
+use crate::vector;
 
 /// Result of a top-1 scan for one utility vector.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,98 +38,6 @@ pub struct Top1 {
 /// Warning counter bumped when a utility vector's scan produced only
 /// NaN/`-inf` scores with at least one NaN (`trace-validate` fails on it).
 pub const TOP1_NAN_COUNTER: &str = "scan.top1_nan";
-
-/// Which kernel implementation `Dataset`-level scans dispatch to.
-///
-/// The process-wide default comes from the `ISRL_SCAN_BACKEND` environment
-/// variable (`auto` | `scalar` | `simd` | `soa` | `soa-f32`), read once on
-/// first use; [`set_scan_backend`] overrides it programmatically. All
-/// backends return bit-identical results, so the knob is purely a
-/// performance choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanBackend {
-    /// Pick the fastest exact backend: [`ScanBackend::Soa`] (its inner
-    /// axpy uses AVX2 when the CPU has it, portable unrolled loops
-    /// otherwise).
-    Auto,
-    /// Row-major blocked scan with the portable [`vector::dot`].
-    Scalar,
-    /// Row-major blocked scan with the runtime-detected [`simd::dot`].
-    Simd,
-    /// Column-major (structure-of-arrays) f64 scan ([`crate::soa::top1_soa`]).
-    Soa,
-    /// Column-major f32 scan with exact f64 candidate rescan
-    /// ([`crate::soa::top1_soa_f32`]). Opt-in: fastest on wide scans, but
-    /// the candidate pass degrades toward a full rescan on adversarially
-    /// close scores.
-    SoaF32,
-}
-
-impl ScanBackend {
-    /// Resolves [`ScanBackend::Auto`] to the concrete backend it selects.
-    #[inline]
-    pub fn resolve(self) -> ScanBackend {
-        match self {
-            ScanBackend::Auto => ScanBackend::Soa,
-            other => other,
-        }
-    }
-
-    fn encode(self) -> u8 {
-        match self {
-            ScanBackend::Auto => 0,
-            ScanBackend::Scalar => 1,
-            ScanBackend::Simd => 2,
-            ScanBackend::Soa => 3,
-            ScanBackend::SoaF32 => 4,
-        }
-    }
-
-    fn decode(v: u8) -> ScanBackend {
-        match v {
-            1 => ScanBackend::Scalar,
-            2 => ScanBackend::Simd,
-            3 => ScanBackend::Soa,
-            4 => ScanBackend::SoaF32,
-            _ => ScanBackend::Auto,
-        }
-    }
-}
-
-/// 255 = "not yet initialized from the environment".
-const BACKEND_UNSET: u8 = 255;
-static BACKEND: AtomicU8 = AtomicU8::new(BACKEND_UNSET);
-
-/// The process-wide scan backend (initializing from `ISRL_SCAN_BACKEND`
-/// on first call; unknown values warn on stderr and fall back to `Auto`).
-pub fn scan_backend() -> ScanBackend {
-    let raw = BACKEND.load(Ordering::Relaxed);
-    if raw != BACKEND_UNSET {
-        return ScanBackend::decode(raw);
-    }
-    let initial = match std::env::var("ISRL_SCAN_BACKEND") {
-        Ok(v) => match v.to_ascii_lowercase().as_str() {
-            "auto" | "" => ScanBackend::Auto,
-            "scalar" => ScanBackend::Scalar,
-            "simd" => ScanBackend::Simd,
-            "soa" => ScanBackend::Soa,
-            "soa-f32" | "soa_f32" | "f32" => ScanBackend::SoaF32,
-            other => {
-                eprintln!("warning: unknown ISRL_SCAN_BACKEND '{other}', using auto");
-                ScanBackend::Auto
-            }
-        },
-        Err(_) => ScanBackend::Auto,
-    };
-    BACKEND.store(initial.encode(), Ordering::Relaxed);
-    initial
-}
-
-/// Overrides the process-wide scan backend (e.g. from a CLI flag or a
-/// before/after benchmark). Takes effect for all subsequent scans.
-pub fn set_scan_backend(backend: ScanBackend) {
-    BACKEND.store(backend.encode(), Ordering::Relaxed);
-}
 
 /// Debug-build check that a utility vector is NaN-free (NaN utilities are
 /// caller bugs; NaN *points* take the documented sentinel path instead).
@@ -162,13 +63,6 @@ pub(crate) fn apply_nan_sentinel<U: AsRef<[f64]>>(
             isrl_obs::add(TOP1_NAN_COUNTER, 1);
         }
     }
-}
-
-/// Picks the point-block height so a block stays L1-resident: `rows·dim`
-/// f64s ≈ 24 KB, leaving room for the utility vectors and accumulators.
-#[inline]
-fn block_rows(dim: usize) -> usize {
-    (3072 / dim.max(1)).max(8)
 }
 
 /// The reference scalar scan: one pass over the buffer for one utility
@@ -199,98 +93,29 @@ pub fn top1_scalar(u: &[f64], points: &[f64], dim: usize) -> Top1 {
     best
 }
 
-/// Shared blocked row-major kernel, parameterized by the dot product so
-/// the portable and SIMD entry points stay one implementation.
-fn top1_batch_with<U: AsRef<[f64]>>(
-    utilities: &[U],
-    points: &[f64],
-    dim: usize,
-    dot: impl Fn(&[f64], &[f64]) -> f64,
-) -> Vec<Top1> {
-    assert!(dim > 0, "top1_batch needs a positive dimension");
-    assert_eq!(points.len() % dim, 0, "point buffer length must be n * dim");
-    assert!(!points.is_empty(), "top1_batch over an empty point buffer");
-    for u in utilities {
-        let u = u.as_ref();
-        assert_eq!(u.len(), dim, "utility vector dimension mismatch");
-        debug_assert_utilities_finite(u);
-    }
-
-    let mut best = vec![
-        Top1 {
-            index: 0,
-            value: f64::NEG_INFINITY
-        };
-        utilities.len()
-    ];
-    let rows_per_block = block_rows(dim);
-    isrl_obs::add("scan.top1_calls", 1);
-    isrl_obs::add("scan.top1_utilities", utilities.len() as u64);
-    isrl_obs::add(
-        "scan.top1_blocks",
-        points.len().div_ceil(rows_per_block * dim) as u64,
-    );
-    for (block_idx, block) in points.chunks(rows_per_block * dim).enumerate() {
-        let base = block_idx * rows_per_block;
-        for (u, b) in utilities.iter().zip(best.iter_mut()) {
-            let u = u.as_ref();
-            for (row, p) in block.chunks_exact(dim).enumerate() {
-                let v = dot(p, u);
-                if v > b.value {
-                    b.value = v;
-                    b.index = base + row;
-                }
-            }
-        }
-    }
-    apply_nan_sentinel(utilities, &best, |u| {
-        points.chunks_exact(dim).any(|p| vector::dot(p, u).is_nan())
-    });
-    best
-}
-
-/// Top-1 point per utility vector over a row-major point buffer.
+/// Top-1 point per utility vector over a row-major point buffer:
+/// [`top1_scalar`] per utility vector, plus the `scan.top1_*` call
+/// counters the SoA kernel also keeps (the whole buffer counts as one
+/// block).
 ///
 /// `points` holds `n = points.len() / dim` rows; every utility slice must
 /// have length `dim`. Returns one [`Top1`] per utility vector, in order.
-/// Equivalent to running [`top1_scalar`] per utility vector (first index
-/// wins ties), but with cache-blocked traversal. See the module docs for
-/// the NaN sentinel semantics.
+/// See the module docs for the NaN sentinel semantics.
 ///
 /// # Panics
 /// Panics when the buffer is not a multiple of `dim`, when the buffer is
 /// empty, or when a utility vector's length differs from `dim`.
 pub fn top1_batch<U: AsRef<[f64]>>(utilities: &[U], points: &[f64], dim: usize) -> Vec<Top1> {
-    top1_batch_with(utilities, points, dim, vector::dot)
-}
-
-/// [`top1_batch`] with the runtime-feature-detected [`simd::dot`]
-/// (bit-identical results; faster per-row dot on AVX2 hardware).
-///
-/// # Panics
-/// As [`top1_batch`].
-pub fn top1_batch_simd<U: AsRef<[f64]>>(utilities: &[U], points: &[f64], dim: usize) -> Vec<Top1> {
-    top1_batch_with(utilities, points, dim, simd::dot)
-}
-
-fn row_dots_with(
-    points: &[f64],
-    dim: usize,
-    u: &[f64],
-    out: &mut Vec<f64>,
-    dot: impl Fn(&[f64], &[f64]) -> f64,
-) {
-    assert!(dim > 0, "row_dots needs a positive dimension");
+    assert!(dim > 0, "top1_batch needs a positive dimension");
     assert_eq!(points.len() % dim, 0, "point buffer length must be n * dim");
-    assert_eq!(u.len(), dim, "utility vector dimension mismatch");
-    out.clear();
-    let n = points.len() / dim;
-    // Only grow when the existing allocation is too small — repeat calls
-    // with a retained buffer must not re-reserve (capacity stability).
-    if out.capacity() < n {
-        out.reserve_exact(n);
-    }
-    out.extend(points.chunks_exact(dim).map(|p| dot(p, u)));
+    assert!(!points.is_empty(), "top1_batch over an empty point buffer");
+    isrl_obs::add("scan.top1_calls", 1);
+    isrl_obs::add("scan.top1_utilities", utilities.len() as u64);
+    isrl_obs::add("scan.top1_blocks", 1);
+    utilities
+        .iter()
+        .map(|u| top1_scalar(u.as_ref(), points, dim))
+        .collect()
 }
 
 /// All dot products `points[i] · u`, appended to `out` (cleared first;
@@ -302,16 +127,17 @@ fn row_dots_with(
 /// # Panics
 /// Panics when the buffer is not a multiple of `dim` or `u.len() != dim`.
 pub fn row_dots(points: &[f64], dim: usize, u: &[f64], out: &mut Vec<f64>) {
-    row_dots_with(points, dim, u, out, vector::dot);
-}
-
-/// [`row_dots`] with the runtime-feature-detected [`simd::dot`]
-/// (bit-identical results).
-///
-/// # Panics
-/// As [`row_dots`].
-pub fn row_dots_simd(points: &[f64], dim: usize, u: &[f64], out: &mut Vec<f64>) {
-    row_dots_with(points, dim, u, out, simd::dot);
+    assert!(dim > 0, "row_dots needs a positive dimension");
+    assert_eq!(points.len() % dim, 0, "point buffer length must be n * dim");
+    assert_eq!(u.len(), dim, "utility vector dimension mismatch");
+    out.clear();
+    let n = points.len() / dim;
+    // Only grow when the existing allocation is too small — repeat calls
+    // with a retained buffer must not re-reserve (capacity stability).
+    if out.capacity() < n {
+        out.reserve_exact(n);
+    }
+    out.extend(points.chunks_exact(dim).map(|p| vector::dot(p, u)));
 }
 
 #[cfg(test)]
@@ -344,12 +170,12 @@ mod tests {
                 .map(|i| pseudo_points(1, dim, 1000 + i as u64))
                 .collect();
             let batched = top1_batch(&utilities, &points, dim);
-            let simd = top1_batch_simd(&utilities, &points, dim);
-            for ((u, b), s_) in utilities.iter().zip(&batched).zip(&simd) {
+            let soa = crate::top1_soa(&utilities, &crate::SoaBuffer::from_flat(&points, dim));
+            for ((u, b), s_) in utilities.iter().zip(&batched).zip(&soa) {
                 let s = top1_scalar(u, &points, dim);
                 assert_eq!(b.index, s.index, "n={n} dim={dim}");
                 assert_eq!(b.value, s.value, "bit-exact value expected");
-                assert_eq!(*s_, s, "simd path n={n} dim={dim}");
+                assert_eq!(*s_, s, "soa path n={n} dim={dim}");
             }
         }
     }
@@ -363,16 +189,19 @@ mod tests {
 
     #[test]
     fn crosses_block_boundaries() {
-        // More rows than one block so the winner can sit in a later block.
+        // More rows than one SoA block so the winner sits in a later block.
         let dim = 3;
-        let n = block_rows(dim) * 2 + 5;
+        let n = crate::soa::SOA_BLOCK_ROWS * 2 + 5;
         let mut points = pseudo_points(n, dim, 7);
         let winner = n - 2;
         for x in &mut points[winner * dim..(winner + 1) * dim] {
             *x = 10.0;
         }
-        let out = top1_batch(&[vec![1.0, 1.0, 1.0]], &points, dim);
+        let utilities = [vec![1.0, 1.0, 1.0]];
+        let out = top1_batch(&utilities, &points, dim);
         assert_eq!(out[0].index, winner);
+        let soa = crate::top1_soa(&utilities, &crate::SoaBuffer::from_flat(&points, dim));
+        assert_eq!(soa, out);
     }
 
     #[test]
@@ -393,7 +222,7 @@ mod tests {
             assert_eq!(out[i], vector::dot(p, &u));
         }
         let mut out2 = Vec::new();
-        row_dots_simd(&points, dim, &u, &mut out2);
+        crate::row_dots_soa(&crate::SoaBuffer::from_flat(&points, dim), &u, &mut out2);
         assert_eq!(out, out2);
     }
 
@@ -446,20 +275,5 @@ mod tests {
     #[should_panic(expected = "NaN in utility vector")]
     fn nan_utility_vector_is_a_caller_bug() {
         top1_batch(&[vec![f64::NAN, 1.0]], &[0.1, 0.2], 2);
-    }
-
-    #[test]
-    fn backend_knob_round_trips() {
-        assert_eq!(ScanBackend::Auto.resolve(), ScanBackend::Soa);
-        assert_eq!(ScanBackend::SoaF32.resolve(), ScanBackend::SoaF32);
-        for b in [
-            ScanBackend::Auto,
-            ScanBackend::Scalar,
-            ScanBackend::Simd,
-            ScanBackend::Soa,
-            ScanBackend::SoaF32,
-        ] {
-            assert_eq!(ScanBackend::decode(b.encode()), b);
-        }
     }
 }

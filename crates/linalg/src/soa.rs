@@ -1,7 +1,7 @@
 //! Structure-of-arrays point store and the scan kernels built on it.
 //!
-//! The row-major `top1_batch` kernel streams `dim`-length rows and pays a
-//! horizontal reduction per point. [`SoaBuffer`] transposes the point
+//! A row-major scan streams `dim`-length rows and pays a horizontal
+//! reduction per point. [`SoaBuffer`] transposes the point
 //! buffer into column-major form (`cols[j * n + i]` = attribute `j` of
 //! point `i`) so a scan can stream one *dimension* contiguously across a
 //! register tile of points: the inner loop keeps each lane's partial sums
@@ -18,16 +18,9 @@
 //! runs *across rows* (independent accumulation chains — vector width
 //! only changes how many rows advance together), so per-row arithmetic
 //! is identical to the scalar kernel bit for bit.
-//!
-//! [`top1_soa_f32`] trades that for speed: a single-precision pass scores
-//! every point, collects all rows whose f32 score lands within a
-//! certified error slack of the running best, then rescans just those
-//! candidates in f64 over the row-major buffer — so the returned [`Top1`]
-//! (index *and* value) is still exact.
 
 use crate::scan::{self, Top1};
 use crate::vector;
-use std::sync::OnceLock;
 
 /// Rows per scan block: the score buffer for one block is 8 KB, and the
 /// block loop bounds how much column data is in flight per `best` update
@@ -46,10 +39,6 @@ pub struct SoaBuffer {
     dim: usize,
     /// Column-major values: `cols[j * n + i]` is attribute `j` of point `i`.
     cols: Vec<f64>,
-    /// Lazily-built f32 mirror of `cols` for [`top1_soa_f32`].
-    cols_f32: OnceLock<Vec<f32>>,
-    /// Per-column max absolute value, for the f32 error-slack bound.
-    col_abs_max: Vec<f64>,
 }
 
 impl SoaBuffer {
@@ -62,23 +51,12 @@ impl SoaBuffer {
         assert_eq!(points.len() % dim, 0, "point buffer length must be n * dim");
         let n = points.len() / dim;
         let mut cols = vec![0.0f64; points.len()];
-        let mut col_abs_max = vec![0.0f64; dim];
         for (i, row) in points.chunks_exact(dim).enumerate() {
             for (j, &x) in row.iter().enumerate() {
                 cols[j * n + i] = x;
-                let a = x.abs();
-                if a > col_abs_max[j] {
-                    col_abs_max[j] = a;
-                }
             }
         }
-        Self {
-            n,
-            dim,
-            cols,
-            cols_f32: OnceLock::new(),
-            col_abs_max,
-        }
+        Self { n, dim, cols }
     }
 
     /// Number of points.
@@ -105,13 +83,6 @@ impl SoaBuffer {
         &self.cols[j * self.n..(j + 1) * self.n]
     }
 
-    /// The full column-major f32 mirror, built on first use.
-    #[inline]
-    fn cols_f32(&self) -> &[f32] {
-        self.cols_f32
-            .get_or_init(|| self.cols.iter().map(|&x| x as f32).collect())
-    }
-
     /// Gathers row `i` into `buf` (cleared first).
     fn gather_row(&self, i: usize, buf: &mut Vec<f64>) {
         buf.clear();
@@ -120,7 +91,7 @@ impl SoaBuffer {
 
     /// `true` when any point's score `u · p` is NaN, using the same
     /// summation order as the scan kernels ([`vector::dot`]) so the
-    /// verdict matches the row-major backends exactly.
+    /// verdict matches the row-major reference exactly.
     fn any_nan_score(&self, u: &[f64]) -> bool {
         let mut row = Vec::with_capacity(self.dim);
         for i in 0..self.n {
@@ -190,6 +161,15 @@ fn block_scores_body(u: &[f64], cols: &[f64], n: usize, base: usize, rows: usize
     }
 }
 
+/// `true` when the running CPU supports AVX2 (detected once per process
+/// and cached).
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn have_avx2() -> bool {
+    static AVX2: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *AVX2.get_or_init(|| std::is_x86_feature_detected!("avx2"))
+}
+
 /// The tile body compiled with AVX2 enabled, so LLVM vectorizes the
 /// per-lane `W`-row loops at 256-bit width. The arithmetic *sequence* per
 /// row is the portable body's — vector width only batches independent
@@ -210,97 +190,12 @@ unsafe fn block_scores_avx2(
 
 fn block_scores(soa: &SoaBuffer, u: &[f64], base: usize, rows: usize, out: &mut [f64]) {
     #[cfg(target_arch = "x86_64")]
-    if crate::simd::have_avx2() {
+    if have_avx2() {
         // SAFETY: AVX2 support was verified at runtime.
         unsafe { block_scores_avx2(u, &soa.cols, soa.n, base, rows, out) };
         return;
     }
     block_scores_body(u, &soa.cols, soa.n, base, rows, out)
-}
-
-/// f32 analogue of [`scores_tile`] for the first pass of
-/// [`top1_soa_f32`]. The f32 scores are never compared across backends
-/// (the f64 rescan makes the final answer exact), so this only has to be
-/// deterministic, not bit-matched to anything; it keeps the same lane
-/// shape for instruction-level parallelism. `W = 16` f32 lanes is two
-/// AVX2 vectors per chain.
-#[inline(always)]
-fn scores_tile_f32<const W: usize>(u: &[f32], cols: &[f32], n: usize, off: usize, out: &mut [f32]) {
-    let dim = u.len();
-    let mut l0 = [0.0f32; W];
-    let mut l1 = [0.0f32; W];
-    let mut l2 = [0.0f32; W];
-    let mut l3 = [0.0f32; W];
-    let mut tl = [0.0f32; W];
-    let mut j = 0;
-    while j + 4 <= dim {
-        let c0 = &cols[j * n + off..][..W];
-        let c1 = &cols[(j + 1) * n + off..][..W];
-        let c2 = &cols[(j + 2) * n + off..][..W];
-        let c3 = &cols[(j + 3) * n + off..][..W];
-        for k in 0..W {
-            l0[k] += u[j] * c0[k];
-            l1[k] += u[j + 1] * c1[k];
-            l2[k] += u[j + 2] * c2[k];
-            l3[k] += u[j + 3] * c3[k];
-        }
-        j += 4;
-    }
-    while j < dim {
-        let c = &cols[j * n + off..][..W];
-        for k in 0..W {
-            tl[k] += u[j] * c[k];
-        }
-        j += 1;
-    }
-    for k in 0..W {
-        out[k] = (l0[k] + l1[k]) + (l2[k] + l3[k]) + tl[k];
-    }
-}
-
-const ROW_TILE_F32: usize = 16;
-
-#[inline(always)]
-fn block_scores_f32_body(
-    u: &[f32],
-    cols: &[f32],
-    n: usize,
-    base: usize,
-    rows: usize,
-    out: &mut [f32],
-) {
-    let mut r = 0;
-    while r + ROW_TILE_F32 <= rows {
-        scores_tile_f32::<ROW_TILE_F32>(u, cols, n, base + r, &mut out[r..r + ROW_TILE_F32]);
-        r += ROW_TILE_F32;
-    }
-    while r < rows {
-        scores_tile_f32::<1>(u, cols, n, base + r, &mut out[r..r + 1]);
-        r += 1;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn block_scores_f32_avx2(
-    u: &[f32],
-    cols: &[f32],
-    n: usize,
-    base: usize,
-    rows: usize,
-    out: &mut [f32],
-) {
-    block_scores_f32_body(u, cols, n, base, rows, out)
-}
-
-fn block_scores_f32(u: &[f32], cols: &[f32], n: usize, base: usize, rows: usize, out: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::have_avx2() {
-        // SAFETY: AVX2 support was verified at runtime.
-        unsafe { block_scores_f32_avx2(u, cols, n, base, rows, out) };
-        return;
-    }
-    block_scores_f32_body(u, cols, n, base, rows, out)
 }
 
 /// Top-1 point per utility vector over a column-major buffer. Bit-exact
@@ -344,124 +239,6 @@ pub fn top1_soa<U: AsRef<[f64]>>(utilities: &[U], soa: &SoaBuffer) -> Vec<Top1> 
         base += rows;
     }
     scan::apply_nan_sentinel(utilities, &best, |u| soa.any_nan_score(u));
-    best
-}
-
-/// Top-1 per utility vector via a single-precision scan with exact f64
-/// verification: one f32 pass over the column mirror collects every row
-/// whose score lands within a certified slack of the running best, then
-/// those candidates are rescanned with [`vector::dot`] over the row-major
-/// buffer `points`. Results are bit-exact with [`crate::scan::top1_batch`].
-///
-/// The slack per utility is `2 · (d + 8) · ε₃₂ · Σⱼ |uⱼ| · maxᵢ|pᵢⱼ|`
-/// (ε₃₂ = `f32::EPSILON`), a first-order bound on f64→f32 conversion,
-/// product, and d-term accumulation error with ≥ 4× margin. Whenever the
-/// bound cannot be trusted — f32 overflow to ±∞, NaN scores, infinite
-/// slack — the kernel degrades to collecting every subsequent row, so
-/// correctness never depends on the bound holding.
-///
-/// # Panics
-/// Panics on an empty buffer, a `points`/`soa` shape mismatch, or a
-/// utility-vector dimension mismatch. `debug_assert`s that no utility
-/// vector contains NaN.
-pub fn top1_soa_f32<U: AsRef<[f64]>>(
-    utilities: &[U],
-    soa: &SoaBuffer,
-    points: &[f64],
-) -> Vec<Top1> {
-    assert!(!soa.is_empty(), "top1_soa_f32 over an empty point buffer");
-    assert_eq!(
-        points.len(),
-        soa.n * soa.dim,
-        "row-major buffer does not match the SoA mirror"
-    );
-    for u in utilities {
-        let u = u.as_ref();
-        assert_eq!(u.len(), soa.dim, "utility vector dimension mismatch");
-        scan::debug_assert_utilities_finite(u);
-    }
-    isrl_obs::add("scan.top1_calls", 1);
-    isrl_obs::add("scan.top1_utilities", utilities.len() as u64);
-    isrl_obs::add("scan.top1_blocks", soa.n.div_ceil(SOA_BLOCK_ROWS) as u64);
-
-    let dim = soa.dim;
-    let k = utilities.len();
-    let mut best = vec![
-        Top1 {
-            index: 0,
-            value: f64::NEG_INFINITY
-        };
-        k
-    ];
-    if k == 0 {
-        return best;
-    }
-
-    // Per-utility f32 copy and certified slack bound.
-    let u32s: Vec<Vec<f32>> = utilities
-        .iter()
-        .map(|u| u.as_ref().iter().map(|&x| x as f32).collect())
-        .collect();
-    let slacks: Vec<f64> = utilities
-        .iter()
-        .map(|u| {
-            let bound: f64 = u
-                .as_ref()
-                .iter()
-                .zip(&soa.col_abs_max)
-                .map(|(uj, m)| uj.abs() * m)
-                .sum();
-            2.0 * (dim as f64 + 8.0) * f64::from(f32::EPSILON) * bound
-        })
-        .collect();
-
-    // Pass 1: f32 scan, collecting candidate rows per utility.
-    let mut cands: Vec<Vec<usize>> = vec![Vec::new(); k];
-    let mut best32 = vec![f64::NEG_INFINITY; k];
-    // `thr[u] = best32[u] - 2 * slack`, forced to -inf (collect everything)
-    // whenever best32 or the slack is non-finite.
-    let mut thr = vec![f64::NEG_INFINITY; k];
-    let cols32 = soa.cols_f32();
-    let mut acc = vec![0.0f32; SOA_BLOCK_ROWS.min(soa.n)];
-    let mut base = 0;
-    while base < soa.n {
-        let rows = SOA_BLOCK_ROWS.min(soa.n - base);
-        for (ku, u32) in u32s.iter().enumerate() {
-            block_scores_f32(u32, cols32, soa.n, base, rows, &mut acc[..rows]);
-            let cand = &mut cands[ku];
-            for (r, &s32) in acc[..rows].iter().enumerate() {
-                let s = f64::from(s32);
-                // NaN fails the `<`, so NaN scores are always collected
-                // (the point of the negated form — not `s >= thr`).
-                #[allow(clippy::neg_cmp_op_on_partial_ord)]
-                if !(s < thr[ku]) {
-                    cand.push(base + r);
-                }
-                if s > best32[ku] {
-                    best32[ku] = s;
-                    let t = best32[ku] - 2.0 * slacks[ku];
-                    thr[ku] = if t.is_finite() { t } else { f64::NEG_INFINITY };
-                }
-            }
-        }
-        base += rows;
-    }
-
-    // Pass 2: exact f64 rescan of the candidates, in ascending index order
-    // so strict `>` reproduces first-index-wins tie-breaking.
-    for (ku, (cand, b)) in cands.iter().zip(best.iter_mut()).enumerate() {
-        let u = utilities[ku].as_ref();
-        for &i in cand {
-            let v = vector::dot(&points[i * dim..(i + 1) * dim], u);
-            if v > b.value {
-                b.value = v;
-                b.index = i;
-            }
-        }
-    }
-    scan::apply_nan_sentinel(utilities, &best, |u| {
-        points.chunks_exact(dim).any(|p| vector::dot(p, u).is_nan())
-    });
     best
 }
 
@@ -517,13 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn col_abs_max_bounds_every_entry() {
-        let flat = vec![0.5, -2.0, 0.25, 1.5, -0.75, 0.1];
-        let soa = SoaBuffer::from_flat(&flat, 3);
-        assert_eq!(soa.col_abs_max, vec![1.5, 2.0, 0.25]);
-    }
-
-    #[test]
     fn soa_matches_rowmajor_bitwise() {
         for &(n, dim) in &[(1usize, 1usize), (5, 3), (40, 4), (129, 7), (300, 20)] {
             let flat = pseudo(n * dim, 100 + n as u64);
@@ -531,9 +301,7 @@ mod tests {
             let utilities: Vec<Vec<f64>> = (0..6).map(|i| pseudo(dim, 7 + i)).collect();
             let reference = scan::top1_batch(&utilities, &flat, dim);
             let got = top1_soa(&utilities, &soa);
-            let got32 = top1_soa_f32(&utilities, &soa, &flat);
             assert_eq!(got, reference, "n={n} dim={dim}");
-            assert_eq!(got32, reference, "f32 path n={n} dim={dim}");
         }
     }
 

@@ -1,28 +1,26 @@
-//! Differential battery for the scan backends: the row-major blocked scan
-//! (portable and SIMD dot), the structure-of-arrays f64 scan, and the
-//! f32-with-f64-rescan scan must all be **bit-exact** against the
-//! reference scalar scan — same winning index, same winning value down to
-//! the bit pattern — on finite data, adversarially close scores, exact
-//! ties, block-boundary crossings, and non-finite inputs.
+//! Differential battery for the scan kernel: the batched reference
+//! (`top1_batch`) and the structure-of-arrays scan must both be
+//! **bit-exact** against the reference scalar scan — same winning index,
+//! same winning value down to the bit pattern — on finite data,
+//! adversarially close scores, exact ties, block-boundary crossings, and
+//! non-finite inputs.
 
 use isrl_linalg::{
-    row_dots, row_dots_simd, row_dots_soa, simd, soa::SOA_BLOCK_ROWS, top1_batch, top1_batch_simd,
-    top1_scalar, top1_soa, top1_soa_f32, vector, SoaBuffer, Top1,
+    row_dots, row_dots_soa, soa::SOA_BLOCK_ROWS, top1_batch, top1_scalar, top1_soa, SoaBuffer, Top1,
 };
 use proptest::prelude::*;
 
-/// Runs every backend and asserts bit-identical `Top1` results.
+/// Runs the batched reference and the SoA kernel and asserts
+/// bit-identical `Top1` results against per-vector `top1_scalar`.
 fn assert_all_backends_bit_exact(utilities: &[Vec<f64>], points: &[f64], dim: usize) {
     let reference: Vec<Top1> = utilities
         .iter()
         .map(|u| top1_scalar(u, points, dim))
         .collect();
     let soa = SoaBuffer::from_flat(points, dim);
-    let runs: [(&str, Vec<Top1>); 4] = [
+    let runs: [(&str, Vec<Top1>); 2] = [
         ("batched", top1_batch(utilities, points, dim)),
-        ("batched-simd", top1_batch_simd(utilities, points, dim)),
         ("soa", top1_soa(utilities, &soa)),
-        ("soa-f32", top1_soa_f32(utilities, &soa, points)),
     ];
     for (name, got) in &runs {
         assert_eq!(got.len(), reference.len(), "{name}: result count");
@@ -67,7 +65,8 @@ proptest! {
             1..5,
         ),
         // (position, kind) pairs spliced into the point buffer: NaN,
-        // infinities, and magnitudes that overflow/underflow in f32.
+        // infinities, and extreme magnitudes whose products overflow or
+        // underflow.
         splices in prop::collection::vec((0usize..512, 0usize..6), 0..12)
     ) {
         let n = (raw_points.len() / dim).max(1);
@@ -77,9 +76,9 @@ proptest! {
                 0 => f64::NAN,
                 1 => f64::INFINITY,
                 2 => f64::NEG_INFINITY,
-                3 => 1e300,   // overflows to inf in f32
+                3 => 1e300,
                 4 => -1e300,
-                _ => 1e-300,  // underflows to 0 in f32
+                _ => 1e-300,
             };
             let len = points.len();
             points[pos % len] = v;
@@ -90,16 +89,16 @@ proptest! {
     }
 
     #[test]
-    fn f32_rescan_survives_ulp_close_scores(
+    fn ulp_close_scores_stay_bit_exact(
         dim in 1usize..=8,
         base in prop::collection::vec(0.1f64..1.0, 8),
         // Tiny per-row perturbations, far below f32 resolution.
         bumps in prop::collection::vec(-1.0f64..1.0, 4..64),
         u in prop::collection::vec(0.1f64..1.0, 8)
     ) {
-        // Every row is the same point nudged by ~1e-12: the f32 pass
-        // cannot tell rows apart, so the candidate set must cover them
-        // all and the f64 rescan must decide.
+        // Every row is the same point nudged by ~1e-12, so the winner is
+        // decided in the last few bits of each score: any difference in
+        // summation order between the kernels would pick another row.
         let base = &base[..dim];
         let mut points = Vec::with_capacity(bumps.len() * dim);
         for (i, b) in bumps.iter().enumerate() {
@@ -109,18 +108,6 @@ proptest! {
         }
         let utilities = vec![u[..dim].to_vec()];
         assert_all_backends_bit_exact(&utilities, &points, dim);
-    }
-
-    #[test]
-    fn simd_dot_is_bitwise_identical_to_portable(
-        a in prop::collection::vec(-1e3f64..1e3, 0..40),
-        b in prop::collection::vec(-1e3f64..1e3, 0..40)
-    ) {
-        let n = a.len().min(b.len());
-        prop_assert_eq!(
-            simd::dot(&a[..n], &b[..n]).to_bits(),
-            vector::dot(&a[..n], &b[..n]).to_bits()
-        );
     }
 }
 
@@ -144,8 +131,8 @@ fn exact_ties_break_to_first_index_in_every_backend() {
 
 #[test]
 fn winner_in_final_partial_block_is_found_by_every_backend() {
-    // n crosses both the row-major block height and SOA_BLOCK_ROWS, with
-    // the winner in the final (partial) block.
+    // n crosses SOA_BLOCK_ROWS twice, with the winner in the final
+    // (partial) block.
     let dim = 5;
     let n = 2 * SOA_BLOCK_ROWS + 3;
     let mut points: Vec<f64> = (0..n * dim)
@@ -192,23 +179,20 @@ fn row_dots_variants_are_bitwise_identical_and_capacity_stable() {
     let u: Vec<f64> = (0..dim).map(|j| 0.1 + 0.1 * j as f64).collect();
     let soa = SoaBuffer::from_flat(&points, dim);
 
-    let (mut a, mut b, mut c) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut a, mut c) = (Vec::new(), Vec::new());
     row_dots(&points, dim, &u, &mut a);
-    row_dots_simd(&points, dim, &u, &mut b);
     row_dots_soa(&soa, &u, &mut c);
     assert_eq!(a.len(), n);
     for i in 0..n {
-        assert_eq!(a[i].to_bits(), b[i].to_bits(), "simd i={i}");
         assert_eq!(a[i].to_bits(), c[i].to_bits(), "soa i={i}");
     }
 
-    // Capacity stability on repeat calls, for all variants.
-    let cap = (a.capacity(), b.capacity(), c.capacity());
+    // Capacity stability on repeat calls, for both variants.
+    let cap = (a.capacity(), c.capacity());
     for _ in 0..3 {
         row_dots(&points, dim, &u, &mut a);
-        row_dots_simd(&points, dim, &u, &mut b);
         row_dots_soa(&soa, &u, &mut c);
-        assert_eq!((a.capacity(), b.capacity(), c.capacity()), cap);
+        assert_eq!((a.capacity(), c.capacity()), cap);
     }
 }
 

@@ -1,4 +1,5 @@
-//! NaN-sentinel warning-counter parity: every backend must bump
+//! NaN-sentinel warning-counter parity: the scalar reference, the batched
+//! reference and the SoA kernel must each bump
 //! `scan.top1_nan` exactly once per degenerate utility (all scores NaN or
 //! `-inf`, at least one NaN) and never otherwise.
 //!
@@ -10,10 +11,7 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use isrl_linalg::{
-    scan::TOP1_NAN_COUNTER, top1_batch, top1_batch_simd, top1_scalar, top1_soa, top1_soa_f32,
-    SoaBuffer, Top1,
-};
+use isrl_linalg::{scan::TOP1_NAN_COUNTER, top1_batch, top1_scalar, top1_soa, SoaBuffer, Top1};
 
 /// Serializes the tests that toggle the process-global obs sink and read
 /// `scan.top1_nan` deltas; a poisoned lock is recovered so one failure does
@@ -25,7 +23,7 @@ fn sink_lock() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|p| p.into_inner())
 }
 
-const BACKEND_NAMES: [&str; 5] = ["scalar", "batched", "batched-simd", "soa", "soa-f32"];
+const BACKEND_NAMES: [&str; 3] = ["scalar", "batched", "soa"];
 
 /// Runs exactly one backend (so counter deltas attribute cleanly).
 fn run_backend(name: &str, utilities: &[Vec<f64>], points: &[f64], dim: usize) -> Vec<Top1> {
@@ -35,9 +33,7 @@ fn run_backend(name: &str, utilities: &[Vec<f64>], points: &[f64], dim: usize) -
             .map(|u| top1_scalar(u, points, dim))
             .collect(),
         "batched" => top1_batch(utilities, points, dim),
-        "batched-simd" => top1_batch_simd(utilities, points, dim),
         "soa" => top1_soa(utilities, &SoaBuffer::from_flat(points, dim)),
-        "soa-f32" => top1_soa_f32(utilities, &SoaBuffer::from_flat(points, dim), points),
         _ => unreachable!(),
     }
 }

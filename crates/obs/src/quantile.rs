@@ -204,7 +204,10 @@ impl QuantileSketch {
     }
 
     /// The estimated `q`-quantile (`q ∈ [0, 1]`), clamped to the recorded
-    /// `[min, max]`. Returns 0.0 for an empty sketch.
+    /// `[min, max]`: the estimate of the order statistic at 0-based rank
+    /// `floor(q·(n−1))` of the `n` recorded values (so with few samples
+    /// the p99 can sit below the nearest-rank `ceil(q·n)` value). Returns
+    /// 0.0 for an empty sketch.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;

@@ -63,6 +63,19 @@ impl DqnConfig {
         }
     }
 
+    /// Parameter count of the Q-network [`Dqn::new`] builds from this
+    /// config (dense layers `[state_dim + action_dim, hidden.., 1]` with
+    /// biases), computed without building it; `None` if it overflows.
+    pub fn n_params(&self) -> Option<usize> {
+        let mut fan_in = self.state_dim.checked_add(self.action_dim)?;
+        let mut total = 0usize;
+        for &fan_out in self.hidden.iter().chain(&[1]) {
+            total = total.checked_add(fan_out.checked_mul(fan_in.checked_add(1)?)?)?;
+            fan_in = fan_out;
+        }
+        Some(total)
+    }
+
     /// Returns the config with a different seed (builder style).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -300,6 +313,21 @@ mod tests {
 
     /// A 1-step bandit: two candidate actions, action [1,0] pays 1, [0,1]
     /// pays 0. The DQN should learn to rank them within a few hundred steps.
+    #[test]
+    fn n_params_matches_the_built_network() {
+        let mut cfg = DqnConfig::paper_default(7, 4);
+        assert_eq!(
+            cfg.n_params(),
+            Some(Dqn::new(cfg.clone()).network().n_params())
+        );
+        cfg.hidden = vec![5, 3];
+        assert_eq!(
+            cfg.n_params(),
+            Some(Dqn::new(cfg.clone()).network().n_params())
+        );
+        assert_eq!(DqnConfig::paper_default(usize::MAX, 1).n_params(), None);
+    }
+
     #[test]
     fn dqn_learns_a_trivial_bandit() {
         let mut cfg = DqnConfig::paper_default(1, 2).with_seed(3);
