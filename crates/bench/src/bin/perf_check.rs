@@ -38,7 +38,12 @@
 //!   `SessionRegistry` with cross-user batching on (n = 1000, d = 4).
 //!   `session_ms` is mean wall milliseconds per completed session;
 //!   `round_p99` is the sketched p99 of one coalesced `pump_all` cycle
-//!   (the serving analogue of a round's server-side latency).
+//!   (the serving analogue of a round's server-side latency);
+//! * `serve.wire_round_p50` / `serve.wire_round_p99` — the same policy
+//!   and dataset over the wire: an in-process `spawn_server` on loopback
+//!   and `run_loadgen` replaying 64 users over 2 connections. Each is the
+//!   client-observed round latency (send → reply read), so TCP, the
+//!   reactor and the frame codec are gated, not only the registry.
 //!
 //! The run is compared against the median-of-window baseline with
 //! per-metric relative tolerances (`bench::history`; rationale in
@@ -58,6 +63,7 @@
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::io::Write as _;
+use std::sync::Arc;
 
 use isrl_bench::history::{
     baseline_of, check, check_ceilings, parse_history, HistoryRecord, BASELINE_WINDOW, CEILINGS,
@@ -327,26 +333,36 @@ fn p99_round_ea_sampled_d20() -> f64 {
     p99_of(|| round_latencies(&mut ea, &data, &users))
 }
 
+/// The dataset and untrained-EA policy both serving benches run.
+fn serve_fixture() -> (Arc<isrl_data::Dataset>, Arc<ServePolicy>) {
+    let data = Arc::new(generate(1_000, 4, Distribution::AntiCorrelated, 9));
+    let policy = Arc::new(ServePolicy::Ea(EaAgent::new(
+        data.dim(),
+        EaConfig::paper_default().with_seed(4),
+    )));
+    (data, policy)
+}
+
+/// Regret threshold of every serving-bench session.
+const SERVE_EPS: f64 = 0.15;
+
 /// The serving-core bench: 64 untrained-EA sessions through one registry,
 /// answered lockstep by seeded simulated utilities, batching enabled.
 /// Returns `(serve.session_ms, serve.round_p99)`: mean wall ms per
 /// session, and the sketched p99 of one coalesced `pump_all` cycle.
 fn serve_registry() -> (f64, f64) {
-    use std::sync::Arc;
-    let data = Arc::new(generate(1_000, 4, Distribution::AntiCorrelated, 9));
-    let d = data.dim();
+    let (data, policy) = serve_fixture();
     let n_sessions = 64usize;
-    let eps = 0.15;
-    let users = sample_users(d, n_sessions, 17);
-    let policy = Arc::new(ServePolicy::Ea(EaAgent::new(
-        d,
-        EaConfig::paper_default().with_seed(4),
-    )));
+    let users = sample_users(data.dim(), n_sessions, 17);
     let run_once = || -> (f64, f64) {
         let mut registry = SessionRegistry::new(Arc::clone(&data));
         registry.register(Arc::clone(&policy));
         let ids: Vec<u64> = (0..n_sessions)
-            .map(|i| registry.open(AlgoKind::Ea, eps, 0x5eed + i as u64).unwrap())
+            .map(|i| {
+                registry
+                    .open(AlgoKind::Ea, SERVE_EPS, 0x5eed + i as u64)
+                    .unwrap()
+            })
             .collect();
         let t0 = std::time::Instant::now();
         let mut sk = isrl_obs::QuantileSketch::default_config();
@@ -380,6 +396,39 @@ fn serve_registry() -> (f64, f64) {
         .map(|_| run_once())
         .fold((f64::INFINITY, f64::INFINITY), |acc, (s, p)| {
             (acc.0.min(s), acc.1.min(p))
+        })
+}
+
+/// The wire-path bench: a loopback server over the serving fixture, and
+/// `run_loadgen` replaying 64 users over 2 connections. Returns the
+/// best-of-[`REPS`] `(serve.wire_round_p50, serve.wire_round_p99)`: the
+/// client-observed round latency quantiles in ms.
+fn serve_wire() -> (f64, f64) {
+    let (data, policy) = serve_fixture();
+    let run_once = || -> (f64, f64) {
+        let server = spawn_server(
+            Arc::clone(&data),
+            vec![Arc::clone(&policy)],
+            ServerConfig::default(),
+        )
+        .expect("binding a loopback port");
+        let report = run_loadgen(&LoadgenConfig {
+            addr: server.addr().to_string(),
+            users: 64,
+            concurrency: 2,
+            seed: 17,
+            eps: SERVE_EPS,
+            ..LoadgenConfig::default()
+        })
+        .expect("loadgen over loopback");
+        server.shutdown();
+        (report.round_p50_ms, report.round_p99_ms)
+    };
+    run_once(); // warm-up
+    (0..REPS)
+        .map(|_| run_once())
+        .fold((f64::INFINITY, f64::INFINITY), |acc, (p50, p99)| {
+            (acc.0.min(p50), acc.1.min(p99))
         })
 }
 
@@ -446,6 +495,9 @@ fn main() {
     let (serve_session, serve_p99) = serve_registry();
     metrics.insert("serve.session_ms".into(), serve_session);
     metrics.insert("serve.round_p99".into(), serve_p99);
+    let (wire_p50, wire_p99) = serve_wire();
+    metrics.insert("serve.wire_round_p50".into(), wire_p50);
+    metrics.insert("serve.wire_round_p99".into(), wire_p99);
     for v in metrics.values_mut() {
         *v *= scale;
     }

@@ -43,7 +43,9 @@ pub const TOLERANCES: &[(&str, f64)] = &[
     ("p99.", 0.60),
     // Serving metrics drive whole multi-session registries (pump loops,
     // coalesced scans) and include a p99 pump tail, so they get the same
-    // wide band as the other tail quantiles.
+    // wide band as the other tail quantiles. The wire-round quantiles
+    // (`serve.wire_round_p50`/`_p99`) add loopback TCP and thread
+    // wake-ups on top and share the band.
     ("serve.", 0.60),
     // Single-digit-millisecond SoA scan kernel: same jitter class
     // as `kernel.*`.
@@ -336,6 +338,9 @@ mod tests {
         assert_eq!(tolerance_of("round.ea_untrained"), 0.35);
         assert_eq!(tolerance_of("p99.round_ea_untrained"), 0.60);
         assert_eq!(tolerance_of("scan.top1_soa"), 0.50);
+        assert_eq!(tolerance_of("serve.round_p99"), 0.60);
+        assert_eq!(tolerance_of("serve.wire_round_p50"), 0.60);
+        assert_eq!(tolerance_of("serve.wire_round_p99"), 0.60);
         assert_eq!(tolerance_of("something.else"), DEFAULT_TOLERANCE);
     }
 

@@ -439,13 +439,13 @@ pub fn serve(args: &Args) -> CmdResult {
 /// `isrl stats` — query a live `serve --listen` server's read-only
 /// RED-metrics snapshot over the wire (DESIGN.md §16).
 pub fn stats(args: &Args) -> CmdResult {
-    use isrl_core::serving::protocol::{ClientFrame, ServerFrame};
+    use isrl_core::serving::protocol::{line_bytes, ClientFrame, ServerFrame};
     args.ensure_known(&["connect", "detail", "json"])?;
     let addr = args.required("connect")?;
     let detail = args.has("detail");
     let mut stream = std::net::TcpStream::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
-    writeln!(stream, "{}", ClientFrame::Stats { detail }.to_line())?;
-    stream.flush()?;
+    stream.set_nodelay(true)?;
+    stream.write_all(&line_bytes(&ClientFrame::Stats { detail }.to_line()))?;
     let mut reader = std::io::BufReader::new(stream);
     let mut line = String::new();
     std::io::BufRead::read_line(&mut reader, &mut line)?;

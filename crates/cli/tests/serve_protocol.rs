@@ -19,13 +19,18 @@
 //! * the read-only `stats` frame — a live RED-metrics snapshot with its
 //!   documented sections, and a malformed `stats` request erroring
 //!   without collateral;
+//! * batched frame writes — sessions interleaved on one connection keep
+//!   their solo transcripts, and a round pays no Nagle/delayed-ACK stall;
 //! * clean shutdown — a `shutdown` frame stops the server with exit 0
 //!   and the batch counters on stdout.
 
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
+
+use isrl_core::serving::protocol::line_bytes;
 
 fn tmp(name: &str) -> String {
     let dir = std::env::temp_dir().join(format!("isrl_serve_protocol_{}", std::process::id()));
@@ -155,6 +160,7 @@ impl Conn {
         stream
             .set_read_timeout(Some(Duration::from_secs(60)))
             .unwrap();
+        stream.set_nodelay(true).unwrap();
         let writer = stream.try_clone().unwrap();
         Conn {
             writer,
@@ -163,8 +169,7 @@ impl Conn {
     }
 
     fn send(&mut self, line: &str) {
-        writeln!(self.writer, "{line}").unwrap();
-        self.writer.flush().unwrap();
+        self.writer.write_all(&line_bytes(line)).unwrap();
     }
 
     fn recv(&mut self) -> String {
@@ -524,6 +529,107 @@ fn stats_frame_snapshots_red_metrics_live() {
     assert!(
         text.trim_start().starts_with('{') && text.contains("\"round_ms\""),
         "json output: {text}"
+    );
+
+    conn.send(r#"{"kind":"shutdown"}"#);
+    server.wait();
+}
+
+#[test]
+fn interleaved_sessions_on_one_connection_keep_their_transcripts() {
+    let ckpt = train_ckpt("interleave");
+    let (server, port) = Server::start(&ckpt, "interleave");
+    let seeds: Vec<u64> = (5..13).collect();
+    let solo: Vec<Vec<String>> = seeds
+        .iter()
+        .map(|&seed| run_session(&mut Conn::open(port), seed))
+        .collect();
+
+    // All hellos back to back on one connection, then every open
+    // session's answer back to back each round, so one batch owes the
+    // connection several frames.
+    let mut conn = Conn::open(port);
+    for &seed in &seeds {
+        conn.send(&hello(seed));
+    }
+    // The server answers a connection's requests in the order it read
+    // them, so the k-th new session id belongs to the k-th hello.
+    let mut slot_of: BTreeMap<u64, usize> = BTreeMap::new();
+    let mut transcripts: Vec<Vec<String>> = vec![Vec::new(); seeds.len()];
+    let mut outstanding = seeds.len();
+    while outstanding > 0 {
+        let mut answers = Vec::new();
+        for _ in 0..outstanding {
+            let line = conn.recv();
+            let sid = field_u64(&line, "session");
+            let next = slot_of.len();
+            let slot = *slot_of.entry(sid).or_insert(next);
+            transcripts[slot].push(normalize(&line));
+            match kind_of(&line) {
+                "question" => answers.push(answer_req(
+                    sid,
+                    field_u64(&line, "round"),
+                    1,
+                    field_u64(&line, "req"),
+                )),
+                "done" => {}
+                other => panic!("unexpected {other} frame: {line}"),
+            }
+        }
+        for answer in &answers {
+            conn.send(answer);
+        }
+        outstanding = answers.len();
+    }
+    assert_eq!(slot_of.len(), seeds.len(), "one session per hello");
+    for ((seed, alone), interleaved) in seeds.iter().zip(&solo).zip(&transcripts) {
+        assert_eq!(alone, interleaved, "seed {seed} diverged when interleaved");
+    }
+
+    conn.send(r#"{"kind":"shutdown"}"#);
+    server.wait();
+}
+
+/// Sends `line`, reads the reply, and records the client round in ms.
+fn timed_request(conn: &mut Conn, line: &str, rounds_ms: &mut Vec<f64>) -> String {
+    let sent = Instant::now();
+    conn.send(line);
+    let reply = conn.recv();
+    rounds_ms.push(sent.elapsed().as_secs_f64() * 1e3);
+    reply
+}
+
+#[test]
+fn served_rounds_pay_no_delayed_ack_stall() {
+    let ckpt = train_ckpt("nodelay");
+    let (server, port) = Server::start(&ckpt, "nodelay");
+
+    // Whole sessions back to back on one connection until at least 30
+    // rounds are timed. A frame that leaves as two segments stalls each
+    // round on the client's delayed ACK, 40 ms or more on Linux.
+    let mut conn = Conn::open(port);
+    let mut rounds_ms = Vec::new();
+    let mut seed = 0;
+    while rounds_ms.len() < 30 {
+        let mut line = timed_request(&mut conn, &hello(seed), &mut rounds_ms);
+        while kind_of(&line) == "question" {
+            let answer = answer_req(
+                field_u64(&line, "session"),
+                field_u64(&line, "round"),
+                1,
+                field_u64(&line, "req"),
+            );
+            line = timed_request(&mut conn, &answer, &mut rounds_ms);
+        }
+        assert_eq!(kind_of(&line), "done", "unexpected frame: {line}");
+        seed += 1;
+    }
+    rounds_ms.sort_by(f64::total_cmp);
+    let median = rounds_ms[rounds_ms.len() / 2];
+    assert!(
+        median < 15.0,
+        "median client round {median:.2} ms over {} rounds: {rounds_ms:?}",
+        rounds_ms.len()
     );
 
     conn.send(r#"{"kind":"shutdown"}"#);

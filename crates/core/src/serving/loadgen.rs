@@ -12,7 +12,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use crate::serving::protocol::{ClientFrame, ServerFrame};
+use crate::serving::protocol::{line_bytes, ClientFrame, ServerFrame};
 use crate::serving::AlgoKind;
 use crate::user::{NoisyUser, SimulatedUser, User};
 use isrl_geometry::sampling::sample_simplex;
@@ -155,6 +155,9 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
                 stream
                     .set_read_timeout(Some(Duration::from_secs(120)))
                     .map_err(|e| format!("set_read_timeout: {e}"))?;
+                stream
+                    .set_nodelay(true)
+                    .map_err(|e| format!("set_nodelay: {e}"))?;
                 let mut writer = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
                 let mut reader = BufReader::new(stream);
                 (w..cfg.users)
@@ -181,8 +184,9 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
     if cfg.send_shutdown {
         let mut conn = TcpStream::connect(&cfg.addr)
             .map_err(|e| format!("connect for shutdown {}: {e}", cfg.addr))?;
-        writeln!(conn, "{}", ClientFrame::Shutdown.to_line())
-            .and_then(|_| conn.flush())
+        conn.set_nodelay(true)
+            .map_err(|e| format!("set_nodelay: {e}"))?;
+        conn.write_all(&line_bytes(&ClientFrame::Shutdown.to_line()))
             .map_err(|e| format!("send shutdown: {e}"))?;
     }
 
@@ -325,8 +329,8 @@ fn run_user(
 }
 
 fn send(writer: &mut TcpStream, frame: &ClientFrame) -> Result<(), String> {
-    writeln!(writer, "{}", frame.to_line())
-        .and_then(|_| writer.flush())
+    writer
+        .write_all(&line_bytes(&frame.to_line()))
         .map_err(|e| format!("send: {e}"))
 }
 

@@ -33,7 +33,8 @@
 //! ```
 //!
 //! Frames are hand-rolled over [`isrl_obs::json`] — the workspace builds
-//! with no serialization dependency.
+//! with no serialization dependency. Every writer, server and clients
+//! alike, sends a frame's [`line_bytes`] in one `write_all`.
 
 use crate::serving::{choice_from_number, parse_choice, AlgoKind};
 use isrl_obs::json::{self, Json};
@@ -129,6 +130,17 @@ pub enum ServerFrame {
         /// The full frame, `kind`/`conn` fields included.
         body: Json,
     },
+}
+
+/// A frame line's wire bytes: the line plus its terminating `\n`, for a
+/// single `write_all`. Writing the line and the newline separately sends
+/// two segments, and Nagle's algorithm holds the second one back until
+/// the peer's delayed ACK, about 40 ms later on Linux.
+pub fn line_bytes(line: &str) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(line.len() + 1);
+    bytes.extend_from_slice(line.as_bytes());
+    bytes.push(b'\n');
+    bytes
 }
 
 fn field<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, String> {
@@ -397,6 +409,14 @@ mod tests {
         for f in frames {
             assert_eq!(ClientFrame::parse(&f.to_line()).unwrap(), f);
         }
+    }
+
+    #[test]
+    fn line_bytes_terminate_the_line_once() {
+        let line = ClientFrame::Shutdown.to_line();
+        let bytes = line_bytes(&line);
+        assert_eq!(&bytes[..line.len()], line.as_bytes());
+        assert_eq!(&bytes[line.len()..], b"\n");
     }
 
     #[test]

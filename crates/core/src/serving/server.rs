@@ -24,9 +24,16 @@
 //! only while the telemetry sink is enabled, so an untraced server keeps
 //! the zero-instrumentation fast path.
 //!
+//! **How frames leave.** The core queues each frame it owes a connection
+//! in that connection's outbox; once a micro-batch's frames are built,
+//! `Core::flush` sends every non-empty outbox with one `write_all`.
+//! Accepted sockets set `TCP_NODELAY`, so that write goes out at once
+//! instead of waiting on the client's delayed ACK.
+//!
 //! A client line longer than [`MAX_LINE_BYTES`] is answered with one
-//! `frame_too_long` error frame and its connection is closed, so a peer
-//! that never sends `\n` cannot grow server memory without bound.
+//! `frame_too_long` error frame, flushed before its connection is closed,
+//! so a peer that never sends `\n` cannot grow server memory without
+//! bound.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -37,7 +44,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::serving::protocol::{ClientFrame, ServerFrame};
+use crate::serving::protocol::{line_bytes, ClientFrame, ServerFrame};
 use crate::serving::{BatchStats, ServePolicy, SessionRegistry};
 use isrl_data::Dataset;
 use isrl_obs::json::Json;
@@ -198,6 +205,9 @@ fn accept_loop(listener: TcpListener, tx: Sender<Msg>, stop: Arc<AtomicBool>) {
         }
         let conn = next_conn;
         next_conn += 1;
+        // The writer clone shares this socket. A batch's frames leave in
+        // one write, which Nagle must not hold back for the client's ACK.
+        let _ = stream.set_nodelay(true);
         let writer = match stream.try_clone() {
             Ok(w) => w,
             Err(_) => continue,
@@ -270,11 +280,30 @@ struct Touched {
     accepted: Instant,
 }
 
+/// The writer half of a live connection and the frames it is owed.
+struct Writer {
+    stream: TcpStream,
+    /// `\n`-terminated frames queued since the last flush.
+    outbox: Vec<u8>,
+}
+
+impl Writer {
+    /// Sends the outbox in one `write_all`; `false` when the write failed.
+    fn flush(&mut self) -> bool {
+        if self.outbox.is_empty() {
+            return true;
+        }
+        let ok = self.stream.write_all(&self.outbox).is_ok();
+        self.outbox.clear();
+        ok
+    }
+}
+
 /// The single thread that owns all serving state.
 struct Core {
     registry: SessionRegistry,
-    /// Writer half of each live connection.
-    writers: BTreeMap<u64, TcpStream>,
+    /// Each live connection's writer and outbox.
+    writers: BTreeMap<u64, Writer>,
     /// Which connection owns each live session.
     owner: BTreeMap<u64, u64>,
     stats: ServerStats,
@@ -358,11 +387,12 @@ fn core_loop(
     }
 
     // Unblock the accept loop (it is parked in `accept`) with a dummy
-    // connection, then drop every client connection.
+    // connection, then drop every client connection. Every batch ends in
+    // a flush, so no queued frame is lost here.
     stop.store(true, Ordering::SeqCst);
     let _ = TcpStream::connect(addr);
-    for stream in core.writers.values() {
-        let _ = stream.shutdown(Shutdown::Both);
+    for writer in core.writers.values() {
+        let _ = writer.stream.shutdown(Shutdown::Both);
     }
     core.stats.batch = core.registry.stats();
     core.stats
@@ -374,9 +404,16 @@ impl Core {
         match msg {
             Msg::NewConn(conn, stream) => {
                 self.conns_opened += 1;
-                self.writers.insert(conn, stream);
+                self.writers.insert(
+                    conn,
+                    Writer {
+                        stream,
+                        outbox: Vec::new(),
+                    },
+                );
             }
             Msg::Closed(conn) => {
+                // Frames still queued for a closed peer are discarded.
                 self.writers.remove(&conn);
                 let orphaned: Vec<u64> = self
                     .owner
@@ -397,10 +434,12 @@ impl Core {
                     "frame_too_long",
                     format!("line exceeds {MAX_LINE_BYTES} bytes; closing the connection"),
                 );
-                // The reader thread has stopped; its `Closed` follows and
-                // drops the connection's sessions.
-                if let Some(stream) = self.writers.remove(&conn) {
-                    let _ = stream.shutdown(Shutdown::Both);
+                // The error frame goes out before the close. The reader
+                // thread has stopped; its `Closed` follows and drops the
+                // connection's sessions.
+                if let Some(mut writer) = self.writers.remove(&conn) {
+                    writer.flush();
+                    let _ = writer.stream.shutdown(Shutdown::Both);
                 }
             }
             Msg::Stop => self.stopping = true,
@@ -518,11 +557,13 @@ impl Core {
         });
     }
 
-    /// Runs the coalesced scans for everything that moved this batch, then
-    /// sends each touched session's next frame.
+    /// Runs the coalesced scans for everything that moved this batch,
+    /// queues each touched session's next frame, then flushes every
+    /// connection's frames (error and `stats` frames included).
     fn advance(&mut self) {
         self.last_drained = std::mem::take(&mut self.batch_msgs);
         if self.touched.is_empty() {
+            self.flush();
             return;
         }
         // Arm the profile scope only when telemetry is on: an unconditional
@@ -532,8 +573,8 @@ impl Core {
         if profiling {
             isrl_obs::profile_begin();
         }
-        let mut responded: Vec<(u64, u64, u64, u64, f64)> = Vec::new(); // (conn, sid, req, round, ms)
-        {
+        let mut responded: Vec<(u64, u64, u64, u64, Instant)> = Vec::new(); // (conn, sid, req, round, accepted)
+        let flushed = {
             let _batch = isrl_obs::span("serve_batch");
             let pump_started = Instant::now();
             self.registry.pump_all();
@@ -591,14 +632,23 @@ impl Core {
                     self.last_req.insert(t.sid, t.req);
                     self.send(t.conn, &frame);
                 }
-                let ms = t.accepted.elapsed().as_secs_f64() * 1e3;
                 // `round` here is the round the *response* opens (or the
                 // final count for `done`); the hello → first-question
                 // request reports round 0.
                 let reported_round = round.saturating_sub(1);
-                responded.push((t.conn, t.sid, t.req, reported_round, ms));
+                responded.push((t.conn, t.sid, t.req, reported_round, t.accepted));
             }
-        }
+            self.flush();
+            Instant::now()
+        };
+        // A request's latency ends once its frame is written.
+        let responded: Vec<(u64, u64, u64, u64, f64)> = responded
+            .into_iter()
+            .map(|(conn, sid, req, round, accepted)| {
+                let ms = (flushed - accepted).as_secs_f64() * 1e3;
+                (conn, sid, req, round, ms)
+            })
+            .collect();
         let pairs = if profiling {
             isrl_obs::profile_end()
         } else {
@@ -819,15 +869,18 @@ impl Core {
         self.send(conn, &frame);
     }
 
+    /// Queues `frame` in its connection's outbox for the next flush.
     fn send(&mut self, conn: u64, frame: &ServerFrame) {
-        let Some(stream) = self.writers.get_mut(&conn) else {
-            return;
-        };
-        let ok = writeln!(stream, "{}", frame.to_line())
-            .and_then(|_| stream.flush())
-            .is_ok();
-        if !ok {
-            self.writers.remove(&conn);
+        if let Some(writer) = self.writers.get_mut(&conn) {
+            writer
+                .outbox
+                .extend_from_slice(&line_bytes(&frame.to_line()));
         }
+    }
+
+    /// Writes each connection's queued frames with one `write_all`. A
+    /// failed write drops that connection's writer.
+    fn flush(&mut self) {
+        self.writers.retain(|_, writer| writer.flush());
     }
 }
