@@ -59,7 +59,7 @@ COMMANDS:
 TELEMETRY:
   --trace-out <file>      stream per-round / per-episode events as JSONL
                           (one event per line, trailing summary line)
-  --metrics               print counter/span/histogram aggregates to stderr
+  --metrics               print counter/span/sketch aggregates to stderr
   --metrics-interval <s>  sample aggregate deltas every <s> seconds as
                           timeseries events (live progress on stderr)
 ";
@@ -77,7 +77,7 @@ const DATASET_FLAGS: &str = "\
 const TELEMETRY_FLAGS: &str = "\
   --trace-out <file>     stream per-round / per-episode events as JSONL
                          (one event per line, trailing summary line)
-  --metrics              print counter/span/histogram aggregates to stderr
+  --metrics              print counter/span/sketch aggregates to stderr
   --metrics-interval <s> sample aggregate deltas every <s> seconds as
                          timeseries events (live progress on stderr)
 ";

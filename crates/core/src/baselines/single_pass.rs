@@ -256,7 +256,6 @@ impl InteractiveAlgorithm for SinglePass {
                 None,
                 None,
                 None,
-                &[],
             );
             if trace_mode.should_trace(rounds) {
                 trace.push(RoundTrace::new(

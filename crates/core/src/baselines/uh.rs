@@ -13,7 +13,7 @@ use crate::ea::{check_terminal, terminal_points};
 use crate::interaction::{
     InteractionOutcome, InteractiveAlgorithm, Question, RoundTrace, Stopwatch, TraceMode,
 };
-use crate::telemetry::emit_round_event;
+use crate::telemetry::{emit_round_event, EpisodeProfile};
 use crate::user::User;
 use isrl_data::Dataset;
 use isrl_geometry::{sampling, Halfspace, Polytope, Region, RegionLpCache};
@@ -230,6 +230,7 @@ impl InteractiveAlgorithm for UhBaseline {
     ) -> InteractionOutcome {
         assert!(!data.is_empty(), "cannot interact over an empty dataset");
         let sw = Stopwatch::start();
+        let mut profile = EpisodeProfile::begin(self.name());
         let mut region = Region::full(data.dim());
         // Warm-start bases for the per-round cut screens; carried across
         // rounds because the region only gains half-spaces within a run.
@@ -271,21 +272,15 @@ impl InteractiveAlgorithm for UhBaseline {
                 };
             }
 
-            // Per-round phase collection (candidate sampling, top-1 scans)
-            // whenever the trace or the event stream consumes it.
+            // Per-round snapshots whenever the trace or the event stream
+            // consumes them; per-phase time is the episode profile's.
             let record = trace_mode.should_trace(rounds + 1) || isrl_obs::enabled();
-            if record {
-                isrl_obs::round_begin();
-            }
             let round_started = sw.elapsed();
 
             let candidates = self.candidates(data, &region, &vertices);
             let Some(q) =
                 self.select_question(data, &region, &mut lp, &candidates, &centroid, &asked)
             else {
-                if record {
-                    isrl_obs::round_end();
-                }
                 return InteractionOutcome {
                     point_index: last_best,
                     rounds,
@@ -299,11 +294,11 @@ impl InteractiveAlgorithm for UhBaseline {
             let (win, lose) = if prefers_i { (q.i, q.j) } else { (q.j, q.i) };
             asked.push((q.i.min(q.j), q.i.max(q.j)));
             rounds += 1;
+            profile.set_rounds(rounds);
             if let Some(h) = Halfspace::preferring(data.point(win), data.point(lose)) {
                 region.add(h);
             }
             if record {
-                let phases = isrl_obs::round_end();
                 emit_round_event(
                     self.name(),
                     rounds,
@@ -313,11 +308,9 @@ impl InteractiveAlgorithm for UhBaseline {
                     Some(vertices.len()),
                     None,
                     None,
-                    &phases,
                 );
                 if trace_mode.should_trace(rounds) {
                     let mut t = RoundTrace::new(rounds, sw.elapsed(), last_best, region.clone());
-                    t.phases = phases;
                     t.vertex_count = Some(vertices.len());
                     trace.push(t);
                 }

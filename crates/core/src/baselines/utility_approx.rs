@@ -114,7 +114,6 @@ impl InteractiveAlgorithm for UtilityApprox {
                 None,
                 None,
                 None,
-                &[],
             );
             if trace_mode.should_trace(rounds) {
                 let mid = middle_utility(&lo, &hi);

@@ -19,7 +19,6 @@
 
 use crate::aa::{AaAgent, AaConfig, AaSummary, PairGenConfig};
 use crate::ea::{EaAgent, EaConfig, EaStateEncoder, StateVariant};
-use bytes::BufMut;
 use isrl_rl::{DqnConfig, EpsilonSchedule};
 
 const MAGIC: &[u8; 4] = b"ISRL";
@@ -98,14 +97,14 @@ impl Reader<'_> {
 fn put_schedule(buf: &mut Vec<u8>, s: &EpsilonSchedule) {
     match *s {
         EpsilonSchedule::Constant(e) => {
-            buf.put_u8(0);
-            buf.put_f64_le(e);
+            buf.push(0);
+            buf.extend(e.to_le_bytes());
         }
         EpsilonSchedule::Linear { start, end, steps } => {
-            buf.put_u8(1);
-            buf.put_f64_le(start);
-            buf.put_f64_le(end);
-            buf.put_u64_le(steps);
+            buf.push(1);
+            buf.extend(start.to_le_bytes());
+            buf.extend(end.to_le_bytes());
+            buf.extend(steps.to_le_bytes());
         }
     }
 }
@@ -132,9 +131,9 @@ fn get_schedule(r: &mut Reader) -> Result<EpsilonSchedule, CheckpointError> {
 }
 
 fn put_params(buf: &mut Vec<u8>, params: &[f64]) {
-    buf.put_u32_le(params.len() as u32);
+    buf.extend((params.len() as u32).to_le_bytes());
     for &p in params {
-        buf.put_f64_le(p);
+        buf.extend(p.to_le_bytes());
     }
 }
 
@@ -163,8 +162,8 @@ fn agent_params(state_dim: usize, dim: usize) -> Option<usize> {
 fn header(tag: u8) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64);
     buf.extend_from_slice(MAGIC);
-    buf.put_u16_le(VERSION);
-    buf.put_u8(tag);
+    buf.extend(VERSION.to_le_bytes());
+    buf.push(tag);
     buf
 }
 
@@ -193,29 +192,29 @@ fn check_header(r: &mut Reader, expected_tag: u8) -> Result<(), CheckpointError>
 pub fn save_ea(agent: &EaAgent) -> Vec<u8> {
     let cfg = agent.config();
     let mut buf = header(TAG_EA);
-    buf.put_u32_le(agent.dim() as u32);
-    buf.put_u32_le(cfg.m_e as u32);
-    buf.put_f64_le(cfg.d_eps);
-    buf.put_u8(match cfg.state_variant {
+    buf.extend((agent.dim() as u32).to_le_bytes());
+    buf.extend((cfg.m_e as u32).to_le_bytes());
+    buf.extend(cfg.d_eps.to_le_bytes());
+    buf.push(match cfg.state_variant {
         StateVariant::Full => 0,
         StateVariant::RepsOnly => 1,
         StateVariant::SphereOnly => 2,
         StateVariant::StridedReps => 3,
     });
-    buf.put_u32_le(cfg.m_h as u32);
-    buf.put_u32_le(cfg.n_samples as u32);
-    buf.put_f64_le(cfg.reward_c);
-    buf.put_u32_le(cfg.max_rounds as u32);
-    buf.put_f64_le(cfg.gamma);
-    buf.put_f64_le(cfg.lr);
-    buf.put_u32_le(cfg.replay_capacity as u32);
-    buf.put_u32_le(cfg.batch_size as u32);
-    buf.put_u64_le(cfg.target_sync_every);
-    buf.put_u32_le(cfg.train_steps_per_round as u32);
-    buf.put_u8(u8::from(cfg.use_adam));
+    buf.extend((cfg.m_h as u32).to_le_bytes());
+    buf.extend((cfg.n_samples as u32).to_le_bytes());
+    buf.extend(cfg.reward_c.to_le_bytes());
+    buf.extend((cfg.max_rounds as u32).to_le_bytes());
+    buf.extend(cfg.gamma.to_le_bytes());
+    buf.extend(cfg.lr.to_le_bytes());
+    buf.extend((cfg.replay_capacity as u32).to_le_bytes());
+    buf.extend((cfg.batch_size as u32).to_le_bytes());
+    buf.extend(cfg.target_sync_every.to_le_bytes());
+    buf.extend((cfg.train_steps_per_round as u32).to_le_bytes());
+    buf.push(u8::from(cfg.use_adam));
     put_schedule(&mut buf, &cfg.epsilon);
-    buf.put_u64_le(cfg.seed);
-    buf.put_u64_le(agent.episodes_trained());
+    buf.extend(cfg.seed.to_le_bytes());
+    buf.extend(agent.episodes_trained().to_le_bytes());
     put_params(&mut buf, &agent.dqn().network().to_flat());
     buf
 }
@@ -274,24 +273,24 @@ pub fn load_ea(bytes: &[u8]) -> Result<EaAgent, CheckpointError> {
 pub fn save_aa(agent: &AaAgent) -> Vec<u8> {
     let cfg = agent.config();
     let mut buf = header(TAG_AA);
-    buf.put_u32_le(agent.dim() as u32);
-    buf.put_u32_le(cfg.m_h as u32);
-    buf.put_u32_le(cfg.pair_gen.top_k as u32);
-    buf.put_u32_le(cfg.pair_gen.random_pairs as u32);
-    buf.put_u32_le(cfg.pair_gen.max_lp_checks as u32);
-    buf.put_u8(u8::from(cfg.pair_gen.rank_by_distance));
-    buf.put_f64_le(cfg.reward_c);
-    buf.put_u32_le(cfg.max_rounds as u32);
-    buf.put_f64_le(cfg.gamma);
-    buf.put_f64_le(cfg.lr);
-    buf.put_u32_le(cfg.replay_capacity as u32);
-    buf.put_u32_le(cfg.batch_size as u32);
-    buf.put_u64_le(cfg.target_sync_every);
-    buf.put_u32_le(cfg.train_steps_per_round as u32);
-    buf.put_u8(u8::from(cfg.use_adam));
+    buf.extend((agent.dim() as u32).to_le_bytes());
+    buf.extend((cfg.m_h as u32).to_le_bytes());
+    buf.extend((cfg.pair_gen.top_k as u32).to_le_bytes());
+    buf.extend((cfg.pair_gen.random_pairs as u32).to_le_bytes());
+    buf.extend((cfg.pair_gen.max_lp_checks as u32).to_le_bytes());
+    buf.push(u8::from(cfg.pair_gen.rank_by_distance));
+    buf.extend(cfg.reward_c.to_le_bytes());
+    buf.extend((cfg.max_rounds as u32).to_le_bytes());
+    buf.extend(cfg.gamma.to_le_bytes());
+    buf.extend(cfg.lr.to_le_bytes());
+    buf.extend((cfg.replay_capacity as u32).to_le_bytes());
+    buf.extend((cfg.batch_size as u32).to_le_bytes());
+    buf.extend(cfg.target_sync_every.to_le_bytes());
+    buf.extend((cfg.train_steps_per_round as u32).to_le_bytes());
+    buf.push(u8::from(cfg.use_adam));
     put_schedule(&mut buf, &cfg.epsilon);
-    buf.put_u64_le(cfg.seed);
-    buf.put_u64_le(agent.episodes_trained());
+    buf.extend(cfg.seed.to_le_bytes());
+    buf.extend(agent.episodes_trained().to_le_bytes());
     put_params(&mut buf, &agent.dqn().network().to_flat());
     buf
 }

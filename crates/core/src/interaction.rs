@@ -58,13 +58,6 @@ pub struct RoundTrace {
     pub best_index: usize,
     /// The utility range learned so far (half-space view).
     pub region: Region,
-    /// Per-phase wall time of this round, `(leaf span name, total)` in
-    /// first-seen order — the output of the `isrl_obs` round scope
-    /// (`geom_update`, `lp`, `sampling`, `nn`, `top1`, …). Populated by
-    /// every algorithm whenever the round is traced; sums to *measured*
-    /// section time, so `elapsed` deltas and the trace no longer disagree
-    /// about where a round's cost went.
-    pub phases: Vec<(&'static str, Duration)>,
     /// Vertex count of the incrementally-maintained polytope after this
     /// round's cut (algorithms that track vertices only).
     pub vertex_count: Option<usize>,
@@ -74,26 +67,17 @@ pub struct RoundTrace {
 }
 
 impl RoundTrace {
-    /// A snapshot with the mandatory fields; phase timings and geometry
-    /// summaries start empty and are filled in by instrumented callers.
+    /// A snapshot with the mandatory fields; geometry summaries start empty
+    /// and are filled in by callers that track them.
     pub fn new(round: usize, elapsed: Duration, best_index: usize, region: Region) -> Self {
         Self {
             round,
             elapsed,
             best_index,
             region,
-            phases: Vec::new(),
             vertex_count: None,
             volume_proxy: None,
         }
-    }
-
-    /// Total recorded time of the phase named `name`, if it was measured.
-    pub fn phase(&self, name: &str) -> Option<Duration> {
-        self.phases
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, d)| *d)
     }
 }
 

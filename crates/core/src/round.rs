@@ -489,12 +489,10 @@ pub(crate) fn episode(
     let (mut loss_sum, mut loss_n) = (0.0, 0u64);
 
     loop {
-        // Phase timings are collected per round (into the trace and the
-        // `round` event stream) whenever either consumer is active.
+        // Per-round snapshots go into the trace and the `round` event
+        // stream whenever either consumer is active; per-phase time is the
+        // episode profile's.
         let record = trace_mode.should_trace(round.rounds() + 1) || isrl_obs::enabled();
-        if record {
-            isrl_obs::round_begin();
-        }
         let round_started = sw.elapsed();
         let chosen = round.choose(algo, |state, feats| {
             let _nn = isrl_obs::span("nn");
@@ -505,9 +503,6 @@ pub(crate) fn episode(
         });
         let Some((state, action)) = chosen else {
             // Terminal, a dead end, or the round cap.
-            if record {
-                isrl_obs::round_end();
-            }
             break;
         };
         let q = round
@@ -523,9 +518,6 @@ pub(crate) fn episode(
         if round.is_finished() && round.truncated() {
             // The region numerically collapsed: finish on the last known
             // recommendation, without a transition.
-            if record {
-                isrl_obs::round_end();
-            }
             break;
         }
 
@@ -556,7 +548,6 @@ pub(crate) fn episode(
         }
 
         if record {
-            let phases = isrl_obs::round_end();
             let rounds = round.rounds();
             let support_after = round.geom().support_size();
             let volume = round.volume_proxy();
@@ -570,14 +561,12 @@ pub(crate) fn episode(
                     support_before,
                     support_after,
                     volume,
-                    &phases,
                 );
             }
             if trace_mode.should_trace(rounds) {
                 let best = round.recommendation().expect("scanned rounds recommend");
                 let mut t =
                     RoundTrace::new(rounds, sw.elapsed(), best, round.geom().region().clone());
-                t.phases = phases;
                 t.vertex_count = support_after;
                 t.volume_proxy = volume;
                 trace.push(t);

@@ -6,7 +6,7 @@
 //! and the baselines cannot drift apart.
 
 use crate::interaction::Question;
-use isrl_obs::{Event, Json};
+use isrl_obs::Event;
 use std::time::Duration;
 
 /// Emits one `round` event. `q` is `None` for algorithms whose questions
@@ -26,7 +26,6 @@ pub(crate) fn emit_round_event(
     vertices_before: Option<usize>,
     vertices_after: Option<usize>,
     volume_proxy: Option<f64>,
-    phases: &[(&'static str, Duration)],
 ) {
     if !isrl_obs::enabled() {
         return;
@@ -49,9 +48,6 @@ pub(crate) fn emit_round_event(
     }
     if let Some(v) = volume_proxy {
         ev = ev.field("volume_proxy", v);
-    }
-    if !phases.is_empty() {
-        ev = ev.field("phase_ms", phases_json(phases));
     }
     isrl_obs::emit(ev);
 }
@@ -88,16 +84,6 @@ pub(crate) fn emit_episode_event(
         ev = ev.field("loss_mean", l);
     }
     isrl_obs::emit(ev);
-}
-
-/// `{"sampling": 1.25, "lp": 0.4, …}` — phase totals in milliseconds.
-fn phases_json(phases: &[(&'static str, Duration)]) -> Json {
-    Json::Obj(
-        phases
-            .iter()
-            .map(|(name, d)| (name.to_string(), Json::from(d.as_secs_f64() * 1e3)))
-            .collect(),
-    )
 }
 
 /// RAII scope emitting one `profile` event per episode: while alive (and

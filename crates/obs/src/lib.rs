@@ -3,11 +3,12 @@
 //! Three primitives, all behind one global on/off switch:
 //!
 //! * **[`span`]** — hierarchical RAII wall-clock timers aggregated per
-//!   `/`-joined path, plus per-round scopes feeding `RoundTrace::phases`;
+//!   `/`-joined path, plus per-thread profile scopes that turn one episode
+//!   into a span tree (the per-round phase breakdown is its self times);
 //! * **[`counter`]/[`add`]** — named monotonic counters (LP pivots, cap
 //!   hits, sampler acceptance, scan blocks, …);
-//! * **[`record`]** — fixed-bucket log-scale histograms (DQN loss,
-//!   per-phase latencies).
+//! * **[`sketch_record`]** — mergeable quantile sketches with bounded
+//!   relative error (round latency, DQN loss, LP pivots per solve).
 //!
 //! Structured [`Event`]s stream into a bounded buffer; [`snapshot`] drains
 //! it and freezes the aggregates, and the result serializes as JSONL (one
@@ -30,7 +31,6 @@ pub mod schema;
 mod counter;
 mod event;
 mod gauge;
-mod hist;
 mod snapshotter;
 mod span;
 
@@ -38,13 +38,12 @@ pub use counter::{add, counter, counter_value, Counter};
 pub use event::{emit, Event, DROPPED_COUNTER, EVENT_CAP};
 pub use flight::{FlightRecord, FlightRecorder};
 pub use gauge::{gauge_set, gauge_value};
-pub use hist::{bucket_bounds, bucket_index, histogram, record, HistSummary, N_BUCKETS};
 pub use json::Json;
 pub use quantile::{sketch_record, QuantileSketch, RollingSketch, SketchSummary};
 pub use snapshotter::Snapshotter;
 pub use span::{
-    profile_begin, profile_end, round_begin, round_end, span, SpanGuard, SpanStat, MAX_DEPTH,
-    MAX_PATH_LEN, TRUNCATED_COUNTER,
+    profile_begin, profile_end, span, SpanGuard, SpanStat, MAX_DEPTH, MAX_PATH_LEN,
+    TRUNCATED_COUNTER,
 };
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -63,13 +62,12 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Clears every counter, span aggregate, histogram, and buffered event,
+/// Clears every counter, span aggregate, gauge, sketch, and buffered event,
 /// and restarts the event epoch. The enabled flag is left as-is. Tests
 /// around the global sink call this between scenarios.
 pub fn reset() {
     counter::reset_counters();
     span::reset_spans();
-    hist::reset_hists();
     gauge::reset_gauges();
     quantile::reset_sketches();
     event::drain_events();
@@ -83,8 +81,6 @@ pub struct Snapshot {
     pub counters: Vec<(String, u64)>,
     /// Span stats, sorted by path.
     pub spans: Vec<(String, SpanStat)>,
-    /// Histogram summaries (only those with data), sorted by name.
-    pub hists: Vec<(String, HistSummary)>,
     /// Gauge last-set values, sorted by name.
     pub gauges: Vec<(String, u64)>,
     /// Quantile-sketch summaries (only those with data), sorted by name.
@@ -98,7 +94,6 @@ pub fn snapshot() -> Snapshot {
     Snapshot {
         counters: counter::snapshot_counters(),
         spans: span::snapshot_spans(),
-        hists: hist::snapshot_hists(),
         gauges: gauge::snapshot_gauges(),
         sketches: quantile::snapshot_sketches(),
         events: event::drain_events(),
@@ -107,7 +102,7 @@ pub fn snapshot() -> Snapshot {
 
 impl Snapshot {
     /// The aggregate `summary` event object (counters, span stats in
-    /// milliseconds, histogram summaries).
+    /// milliseconds, gauges, sketch summaries).
     pub fn summary_json(&self) -> Json {
         let counters = Json::Obj(
             self.counters
@@ -130,12 +125,6 @@ impl Snapshot {
                 })
                 .collect(),
         );
-        let hists = Json::Obj(
-            self.hists
-                .iter()
-                .map(|(k, h)| (k.clone(), h.to_json()))
-                .collect(),
-        );
         let gauges = Json::Obj(
             self.gauges
                 .iter()
@@ -153,7 +142,6 @@ impl Snapshot {
             ("t_ms".into(), Json::from(0.0)),
             ("counters".into(), counters),
             ("spans".into(), spans),
-            ("hists".into(), hists),
             ("gauges".into(), gauges),
             ("sketches".into(), sketches),
         ])
@@ -200,16 +188,6 @@ impl Snapshot {
                     total,
                     mean,
                     s.max.as_secs_f64() * 1e3
-                );
-            }
-        }
-        if !self.hists.is_empty() {
-            out.push_str("histograms:                                 count       mean        p50        p90        max\n");
-            for (k, h) in &self.hists {
-                let _ = writeln!(
-                    out,
-                    "  {k:<40} {:>6} {:>10.4} {:>10.4} {:>10.4} {:>10.4}",
-                    h.count, h.mean, h.p50, h.p90, h.max
                 );
             }
         }

@@ -4,9 +4,9 @@
 //! episode, sweep_item, and timeseries events, with or without the trailing
 //! summary) and reduces it to the paper-style aggregate tables the
 //! `trace-report` CLI subcommand renders: question-count distributions per
-//! algorithm and sweep cell, the per-phase wall-clock breakdown, the
-//! warm-vs-cold LP counters, and the live-progress series sampled by the
-//! periodic snapshotter.
+//! algorithm and sweep cell, the per-phase self-time breakdown of the
+//! episode profiles, the warm-vs-cold LP counters, and the live-progress
+//! series sampled by the periodic snapshotter.
 //!
 //! Everything here is deterministic: events are reduced in file order into
 //! `BTreeMap`s and every number is formatted with fixed precision, so two
@@ -103,10 +103,14 @@ pub struct TraceAggregates {
     pub episode_rounds: BTreeMap<String, Dist>,
     /// Per algo: truncated-episode count.
     pub episode_truncated: BTreeMap<String, u64>,
-    /// Per algo: (rounds seen, total elapsed ms) from `round` events.
-    pub round_time: BTreeMap<String, (u64, f64)>,
-    /// Per algo: per-phase total milliseconds from `phase_ms` objects.
-    pub phase_ms: BTreeMap<String, BTreeMap<String, f64>>,
+    /// Per algo: (round events, events carrying `round_ms`, sum of their
+    /// `round_ms`). Older traces without `round_ms` count as rounds but
+    /// stay out of the latency mean.
+    pub round_time: BTreeMap<String, (u64, u64, f64)>,
+    /// Per algo: span path → self milliseconds summed over `profile` events.
+    pub profile_self_ms: BTreeMap<String, BTreeMap<String, f64>>,
+    /// Per algo: rounds summed over `profile` events.
+    pub profile_rounds: BTreeMap<String, u64>,
     /// `timeseries` samples in file order:
     /// (seq, t_ms, counter deltas, gauges).
     #[allow(clippy::type_complexity)]
@@ -198,16 +202,21 @@ pub fn ingest(trace: &str) -> Result<TraceAggregates, String> {
                     }
                     *sessions.entry(r).or_insert(0) += 1;
                 }
-                let (n, total) = agg.round_time.entry(algo.clone()).or_insert((0, 0.0));
+                let (n, timed, total) = agg.round_time.entry(algo).or_insert((0, 0, 0.0));
                 *n += 1;
-                *total += num(&doc, "elapsed_ms").unwrap_or(0.0);
-                if let Some(Json::Obj(fields)) = doc.get("phase_ms") {
-                    let phases = agg.phase_ms.entry(algo).or_default();
-                    for (phase, v) in fields {
-                        if let Some(ms) = v.as_f64() {
-                            *phases.entry(phase.clone()).or_insert(0.0) += ms;
-                        }
-                    }
+                if let Some(ms) = num(&doc, "round_ms") {
+                    *timed += 1;
+                    *total += ms;
+                }
+            }
+            "profile" => {
+                let algo = text(&doc, "algo").unwrap_or_default();
+                *agg.profile_rounds.entry(algo.clone()).or_insert(0) +=
+                    num(&doc, "rounds").unwrap_or(0.0) as u64;
+                let phases = agg.profile_self_ms.entry(algo).or_default();
+                for (path, stat) in doc.get("spans").and_then(Json::as_obj).unwrap_or(&[]) {
+                    *phases.entry(path.clone()).or_insert(0.0) +=
+                        num(stat, "self_ms").unwrap_or(0.0);
                 }
             }
             "episode" => {
@@ -376,16 +385,17 @@ pub fn tables(agg: &TraceAggregates) -> Vec<ReportTable> {
         out.push(t);
     }
 
-    // Per-phase wall-clock breakdown of every round event.
-    if !agg.phase_ms.is_empty() {
+    // Per-phase breakdown: every span path's self time, so the rows of one
+    // algorithm partition its profiled wall time.
+    if !agg.profile_self_ms.is_empty() {
         let mut t = ReportTable::new(
             "phases",
-            "Per-phase time breakdown across round events",
-            &["algo", "phase", "total_ms", "share_pct", "ms_per_round"],
+            "Per-phase self time across profile events",
+            &["algo", "phase", "self_ms", "share_pct", "ms_per_round"],
         );
-        for (algo, phases) in &agg.phase_ms {
+        for (algo, phases) in &agg.profile_self_ms {
             let algo_total: f64 = phases.values().sum();
-            let rounds = agg.round_time.get(algo).map_or(0, |&(n, _)| n).max(1);
+            let rounds = agg.profile_rounds.get(algo).copied().unwrap_or(0).max(1);
             for (phase, &ms) in phases {
                 t.rows.push(vec![
                     algo.clone(),
@@ -406,15 +416,15 @@ pub fn tables(agg: &TraceAggregates) -> Vec<ReportTable> {
     if !agg.round_time.is_empty() {
         let mut t = ReportTable::new(
             "rounds",
-            "Round events and mean latency per algorithm",
+            "Round events and mean round latency per algorithm",
             &["algo", "rounds", "total_ms", "mean_ms"],
         );
-        for (algo, &(n, total)) in &agg.round_time {
+        for (algo, &(n, timed, total)) in &agg.round_time {
             t.rows.push(vec![
                 algo.clone(),
                 n.to_string(),
                 f2(total),
-                format!("{:.4}", total / n.max(1) as f64),
+                format!("{:.4}", total / timed.max(1) as f64),
             ]);
         }
         out.push(t);
@@ -613,14 +623,19 @@ pub fn report(trace: &str) -> Result<Vec<ReportTable>, String> {
 mod tests {
     use super::*;
 
+    // The first round line is a legacy one: its `phase_ms` object is
+    // ignored, not rejected. The last EA round predates `round_ms` and
+    // stays out of the latency mean.
     const TRACE: &str = concat!(
-        r#"{"ev":"round","t_ms":1,"algo":"EA","round":1,"elapsed_ms":2.0,"phase_ms":{"lp":1.0,"top1":0.5}}"#,
+        r#"{"ev":"round","t_ms":1,"algo":"EA","round":1,"elapsed_ms":2.0,"round_ms":2.0,"phase_ms":{"lp":1.0,"top1":0.5}}"#,
         "\n",
-        r#"{"ev":"round","t_ms":2,"algo":"EA","round":2,"elapsed_ms":3.0,"phase_ms":{"lp":2.0}}"#,
+        r#"{"ev":"round","t_ms":2,"algo":"EA","round":2,"elapsed_ms":3.0,"round_ms":1.0}"#,
         "\n",
-        r#"{"ev":"round","t_ms":3,"algo":"AA","round":1,"elapsed_ms":1.0}"#,
+        r#"{"ev":"round","t_ms":3,"algo":"AA","round":1,"elapsed_ms":1.0,"round_ms":0.5}"#,
         "\n",
         r#"{"ev":"round","t_ms":4,"algo":"EA","round":1,"elapsed_ms":1.0}"#,
+        "\n",
+        r#"{"ev":"profile","t_ms":4,"algo":"EA","rounds":2,"spans":{"lp":{"count":3,"total_ms":3.0,"self_ms":3.0},"top1":{"count":2,"total_ms":0.5,"self_ms":0.5}}}"#,
         "\n",
         r#"{"ev":"episode","t_ms":5,"algo":"EA","episode":0,"rounds":2,"epsilon":0.9,"replay_len":4,"truncated":true}"#,
         "\n",
@@ -645,9 +660,35 @@ mod tests {
             agg.sweep_questions[&("c0_d4".into(), "EA".into())].count(),
             1
         );
-        assert_eq!(agg.phase_ms["EA"]["lp"], 3.0);
+        assert_eq!(agg.profile_self_ms["EA"]["lp"], 3.0);
+        assert!(!agg.profile_self_ms.contains_key("AA"));
         assert_eq!(agg.episode_truncated["EA"], 1);
         assert_eq!(agg.series.len(), 1);
+    }
+
+    #[test]
+    fn phases_rows_are_profile_self_times() {
+        let trace = concat!(
+            r#"{"ev":"profile","t_ms":1,"algo":"EA","rounds":3,"spans":{"geom_update":{"count":3,"total_ms":10.0,"self_ms":1.0},"geom_update/lp":{"count":6,"total_ms":6.0,"self_ms":6.0},"geom_update/cloud_resample":{"count":3,"total_ms":3.0,"self_ms":3.0},"nn":{"count":3,"total_ms":2.0,"self_ms":2.0}}}"#,
+            "\n",
+            r#"{"ev":"profile","t_ms":2,"algo":"EA","rounds":1,"spans":{"geom_update":{"count":1,"total_ms":4.0,"self_ms":1.0},"geom_update/lp":{"count":2,"total_ms":3.0,"self_ms":3.0},"nn":{"count":1,"total_ms":1.0,"self_ms":1.0}}}"#,
+            "\n",
+        );
+        let ts = report(trace).unwrap();
+        let phases = ts.iter().find(|t| t.id == "phases").unwrap();
+        let row = |path: &str| phases.rows.iter().find(|r| r[1] == path).unwrap();
+        // Self time only: the lp and cloud_resample children are not
+        // charged to geom_update a second time.
+        assert_eq!(row("geom_update")[2], "2.00");
+        assert_eq!(row("geom_update/lp")[2], "9.00");
+        // 17 ms profiled over 4 rounds.
+        assert_eq!(row("geom_update")[4], "0.5000");
+        let shares: f64 = phases
+            .rows
+            .iter()
+            .map(|r| r[3].parse::<f64>().unwrap())
+            .sum();
+        assert!((shares - 100.0).abs() < 0.05, "shares sum to {shares}");
     }
 
     #[test]
@@ -679,6 +720,11 @@ mod tests {
             .rows
             .iter()
             .any(|r| r[0] == "warm_hit_rate_pct" && r[1] == "90.00"));
+        // The mean is over `round_ms`: EA has three round events, two of
+        // them timed (2.0 and 1.0 ms).
+        let rounds = a.iter().find(|t| t.id == "rounds").unwrap();
+        assert_eq!(rounds.rows[0], vec!["AA", "1", "0.50", "0.5000"]);
+        assert_eq!(rounds.rows[1], vec!["EA", "3", "3.00", "1.5000"]);
     }
 
     #[test]

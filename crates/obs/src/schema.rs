@@ -127,7 +127,6 @@ pub fn validate_line(line: &str) -> Result<String, String> {
         "summary" => {
             check(&doc, "counters", Shape::Obj)?;
             check(&doc, "spans", Shape::Obj)?;
-            check(&doc, "hists", Shape::Obj)?;
         }
         other => return Err(format!("unknown event kind '{other}'")),
     }

@@ -2,7 +2,7 @@
 //! aggregates into `timeseries` events.
 //!
 //! [`Snapshotter::start`] spawns one thread that wakes every `interval`,
-//! computes the *delta* of every counter, span, and histogram against the
+//! computes the *delta* of every counter and span against the
 //! previous wake, and emits one `timeseries` event into the normal event
 //! stream (plus the current level of every gauge). Long training runs and
 //! sweeps thereby expose live progress — episodes per second, LP warm-hit
@@ -29,8 +29,6 @@ struct Baseline {
     counters: BTreeMap<String, u64>,
     /// Span path → (count, total seconds).
     spans: BTreeMap<String, (u64, f64)>,
-    /// Histogram name → (count, sum).
-    hists: BTreeMap<String, (u64, f64)>,
     /// Sketch name → count (quantiles report cumulative levels; the count
     /// baseline only decides whether a sketch moved since the last wake).
     sketches: BTreeMap<String, u64>,
@@ -41,8 +39,6 @@ struct Sample {
     counters: Vec<(String, u64)>,
     /// Span path → (count delta, total-ms delta).
     spans: Vec<(String, u64, f64)>,
-    /// Histogram name → (count delta, mean of the new values).
-    hists: Vec<(String, u64, f64)>,
     /// Sketch name → cumulative summary, for sketches that moved since the
     /// previous wake. Quantiles do not delta; these are current levels.
     sketches: Vec<(String, crate::SketchSummary)>,
@@ -71,16 +67,6 @@ fn take_sample(base: &mut Baseline) -> Sample {
         }
         base.spans.insert(path, cur);
     }
-    let mut hists = Vec::new();
-    for (name, h) in crate::hist::snapshot_hists() {
-        let cur = (h.count, h.mean * h.count as f64);
-        let prev = base.hists.get(&name).copied().unwrap_or((0, 0.0));
-        if cur.0 > prev.0 {
-            let dcount = cur.0 - prev.0;
-            hists.push((name.clone(), dcount, (cur.1 - prev.1) / dcount as f64));
-        }
-        base.hists.insert(name, cur);
-    }
     let mut sketches = Vec::new();
     for (name, s) in crate::quantile::snapshot_sketches() {
         let prev = base.sketches.get(&name).copied().unwrap_or(0);
@@ -92,7 +78,6 @@ fn take_sample(base: &mut Baseline) -> Sample {
     Sample {
         counters,
         spans,
-        hists,
         sketches,
         gauges: crate::gauge::snapshot_gauges()
             .into_iter()
@@ -123,20 +108,6 @@ fn sample_event(seq: u64, interval: Duration, s: &Sample) -> Event {
             })
             .collect(),
     );
-    let hists = Json::Obj(
-        s.hists
-            .iter()
-            .map(|(k, count, mean)| {
-                (
-                    k.clone(),
-                    Json::Obj(vec![
-                        ("count".into(), Json::from(*count)),
-                        ("mean".into(), Json::from(*mean)),
-                    ]),
-                )
-            })
-            .collect(),
-    );
     let gauges = Json::Obj(
         s.gauges
             .iter()
@@ -154,7 +125,6 @@ fn sample_event(seq: u64, interval: Duration, s: &Sample) -> Event {
         .field("interval_ms", interval.as_secs_f64() * 1e3)
         .field("counters", counters)
         .field("spans", spans)
-        .field("hists", hists)
         .field("sketches", sketches)
         .field("gauges", gauges)
         .field("buffered_events", s.buffered_events)

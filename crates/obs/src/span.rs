@@ -11,21 +11,17 @@
 //! [`TRUNCATED_COUNTER`], so pathological recursion cannot bloat the JSONL
 //! buffer or the registry.
 //!
-//! Cost model: when the global sink is disabled *and* no round or profile
-//! scope is active on the thread, [`span`] is one atomic load plus one
-//! thread-local flag read — no clock call, no allocation. That is the fast
-//! path the `hotpath` bench guards.
+//! Cost model: when the global sink is disabled *and* no profile scope is
+//! active on the thread, [`span`] is one atomic load plus one thread-local
+//! flag read — no clock call, no allocation. That is the fast path the
+//! `hotpath` bench guards.
 //!
-//! **Round scopes** exist so interactive sessions can fill
-//! `RoundTrace::phases` without going through the global sink: between
-//! [`round_begin`] and [`round_end`] every span finishing on the thread
-//! also adds its duration to a per-leaf-name accumulator, which
-//! [`round_end`] returns. This works even when the sink is disabled, so
-//! `--trace-out`-less traced runs still get per-phase wall time.
-//!
-//! **Profile scopes** ([`profile_begin`]/[`profile_end`]) accumulate
-//! per-*path* `(count, total)` pairs the same way; `obs::profile` turns
-//! the result into a span tree with self-vs-child wall-time accounting.
+//! **Profile scopes** ([`profile_begin`]/[`profile_end`]) are the one
+//! per-thread accumulator: while one is open, every finishing span adds
+//! its duration to a per-*path* `(count, total)` table, even when the sink
+//! is disabled. `obs::profile` turns the result into a span tree with
+//! self-vs-child wall-time accounting; a round's phases are the tree's
+//! nodes, each charged only its self time.
 //!
 //! For regression drills, `ISRL_SLOW_SPAN=<leaf>:<ms>` injects a busy-wait
 //! into every span with that leaf name — the artificial slowdown the
@@ -49,13 +45,12 @@ pub const MAX_PATH_LEN: usize = 160;
 /// Counter incremented whenever a span path is truncated by either bound.
 pub const TRUNCATED_COUNTER: &str = "obs.span.truncated";
 
-/// Per-thread scope state: the live span stack plus the optional round and
-/// profile accumulators. One `RefCell` so the [`span`] fast path checks
-/// both scopes with a single thread-local access.
+/// Per-thread scope state: the live span stack plus the optional profile
+/// accumulator. One `RefCell` so the [`span`] fast path checks the scope
+/// with a single thread-local access.
 #[derive(Default)]
 struct Scopes {
     stack: Vec<&'static str>,
-    round: Option<Vec<(&'static str, Duration)>>,
     /// Path → (count, total) while a profile scope is open.
     profile: Option<BTreeMap<String, (u64, Duration)>>,
 }
@@ -154,14 +149,11 @@ pub struct SpanGuard {
 }
 
 fn scope_active() -> bool {
-    SCOPES.with(|s| {
-        let s = s.borrow();
-        s.round.is_some() || s.profile.is_some()
-    })
+    SCOPES.with(|s| s.borrow().profile.is_some())
 }
 
 /// Opens a span named `name`. Inert (no clock read) when the sink is
-/// disabled and no round or profile scope is active on this thread.
+/// disabled and no profile scope is active on this thread.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
     if !crate::enabled() && !scope_active() {
@@ -195,12 +187,6 @@ impl Drop for SpanGuard {
             let mut scopes = s.borrow_mut();
             let joined = join_path(&scopes.stack);
             scopes.stack.pop();
-            if let Some(acc) = scopes.round.as_mut() {
-                match acc.iter_mut().find(|(n, _)| *n == self.name) {
-                    Some(slot) => slot.1 += dur,
-                    None => acc.push((self.name, dur)),
-                }
-            }
             if let Some(prof) = scopes.profile.as_mut() {
                 let slot = prof.entry(joined.0.clone()).or_insert((0, Duration::ZERO));
                 slot.0 += 1;
@@ -215,21 +201,6 @@ impl Drop for SpanGuard {
             registry().lock().unwrap().entry(path).or_default().add(dur);
         }
     }
-}
-
-/// Opens a round scope on this thread: until [`round_end`], finishing spans
-/// also accumulate into a per-leaf-name table. Nested round scopes are not
-/// supported; a second `round_begin` restarts the accumulator.
-pub fn round_begin() {
-    SCOPES.with(|s| s.borrow_mut().round = Some(Vec::new()));
-}
-
-/// Closes the thread's round scope and returns `(leaf name, total)` pairs
-/// in first-seen order. Empty if no scope was open.
-pub fn round_end() -> Vec<(&'static str, Duration)> {
-    SCOPES
-        .with(|s| s.borrow_mut().round.take())
-        .unwrap_or_default()
 }
 
 /// Opens a profile scope on this thread: until [`profile_end`], finishing

@@ -54,69 +54,58 @@ fn spans_nest_into_slash_paths_across_threads() {
 }
 
 #[test]
-fn round_scope_collects_phase_durations_even_when_sink_disabled() {
+fn profile_scope_collects_path_durations_even_when_sink_disabled() {
     let _g = sink_lock();
     assert!(!isrl_obs::enabled());
 
-    isrl_obs::round_begin();
+    isrl_obs::profile_begin();
     {
-        let _a = isrl_obs::span("lp");
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    {
+        let _outer = isrl_obs::span("geom_update");
+        {
+            let _a = isrl_obs::span("lp");
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let _b = isrl_obs::span("lp");
     }
     {
         let _c = isrl_obs::span("top1");
     }
-    let phases = isrl_obs::round_end();
-    let names: Vec<&str> = phases.iter().map(|(n, _)| *n).collect();
-    assert_eq!(names, vec!["lp", "top1"], "leaf names in first-seen order");
-    assert!(phases[0].1 >= Duration::from_millis(1));
+    let pairs = isrl_obs::profile_end();
+    let paths: Vec<(&str, u64)> = pairs.iter().map(|(p, c, _)| (p.as_str(), *c)).collect();
+    assert_eq!(
+        paths,
+        vec![("geom_update", 1), ("geom_update/lp", 2), ("top1", 1)],
+        "full paths, sorted"
+    );
+    assert!(pairs[1].2 >= Duration::from_millis(1));
+    assert!(pairs[0].2 >= pairs[1].2, "parents cover their children");
 
     // With the sink disabled nothing reached the global registry.
     assert!(isrl_obs::snapshot().spans.is_empty());
-    // And a second round_end without a begin is empty, not stale.
-    assert!(isrl_obs::round_end().is_empty());
+    // And a second profile_end without a begin is empty, not stale.
+    assert!(isrl_obs::profile_end().is_empty());
 }
 
 #[test]
-fn histogram_bucket_edges_are_powers_of_two() {
+fn sketch_record_resolves_quantiles_within_relative_error() {
     let _g = sink_lock();
-
-    // Exact powers of two land in their own bucket; the values just below
-    // land one bucket down.
-    let b1 = isrl_obs::bucket_index(1.0);
-    assert_eq!(isrl_obs::bucket_index(2.0), b1 + 1);
-    assert_eq!(isrl_obs::bucket_index(1.999_999), b1);
-    assert_eq!(isrl_obs::bucket_index(0.999_999), b1 - 1);
-    let (lo, hi) = isrl_obs::bucket_bounds(b1);
-    assert_eq!(lo, 1.0);
-    assert_eq!(hi, 2.0);
-
-    // Saturating edges: zero/negative/NaN underflow to bucket 0, huge
-    // values clamp to the last bucket.
-    assert_eq!(isrl_obs::bucket_index(0.0), 0);
-    assert_eq!(isrl_obs::bucket_index(-5.0), 0);
-    assert_eq!(isrl_obs::bucket_index(f64::NAN), 0);
-    assert_eq!(isrl_obs::bucket_index(1e300), isrl_obs::N_BUCKETS - 1);
-    assert_eq!(isrl_obs::bucket_index(1e-300), 0);
-
-    // Recorded summaries: exact count/mean/max, bucket-resolution median.
     isrl_obs::set_enabled(true);
-    for v in [0.5, 1.5, 1.6, 100.0] {
-        isrl_obs::record("t.hist", v);
+
+    // Values one power-of-two bucket would have merged into one midpoint.
+    for v in 1..=100 {
+        isrl_obs::sketch_record("t.sketch", 1024.0 + 8.0 * v as f64);
     }
     let snap = isrl_obs::snapshot();
-    let (_, h) = snap.hists.iter().find(|(k, _)| k == "t.hist").unwrap();
-    assert_eq!(h.count, 4);
-    assert!((h.mean - 25.9).abs() < 1e-9);
-    assert_eq!(h.max, 100.0);
-    assert!(
-        h.p50 >= 1.0 && h.p50 < 2.0,
-        "median bucket is [1,2): {}",
-        h.p50
-    );
+    let (_, s) = snap.sketches.iter().find(|(k, _)| k == "t.sketch").unwrap();
+    assert_eq!(s.count, 100);
+    assert_eq!(s.max, 1824.0);
+    let within = |est: f64, exact: f64| (est - exact).abs() <= 0.01 * exact;
+    assert!(within(s.p50, 1424.0), "p50 {}", s.p50);
+    assert!(within(s.p90, 1744.0), "p90 {}", s.p90);
+    assert!(s.p90 > s.p50);
+    // The summary line carries it under `sketches`.
+    let summary = snap.summary_json().to_string();
+    assert!(summary.contains(r#""t.sketch":{"#), "{summary}");
 }
 
 #[test]
@@ -127,7 +116,7 @@ fn disabled_sink_records_nothing_and_stays_cheap() {
     let c = isrl_obs::counter("t.disabled");
     c.add(7);
     isrl_obs::add("t.disabled", 3);
-    isrl_obs::record("t.disabled_hist", 1.0);
+    isrl_obs::sketch_record("t.disabled_sketch", 1.0);
     isrl_obs::gauge_set("t.disabled_gauge", 42);
     isrl_obs::emit(isrl_obs::Event::new("round").field("round", 1usize));
     {
@@ -136,7 +125,7 @@ fn disabled_sink_records_nothing_and_stays_cheap() {
     let snap = isrl_obs::snapshot();
     assert_eq!(isrl_obs::counter_value("t.disabled"), 0);
     assert_eq!(isrl_obs::gauge_value("t.disabled_gauge"), 0);
-    assert!(snap.hists.is_empty());
+    assert!(snap.sketches.is_empty());
     assert!(snap.spans.is_empty());
     assert!(snap.events.is_empty());
 

@@ -284,7 +284,7 @@ impl Dqn {
         if !loss.is_finite() {
             isrl_obs::add("dqn.nonfinite_loss", 1);
         }
-        isrl_obs::record("dqn.loss", loss);
+        isrl_obs::sketch_record("dqn.loss", loss);
         Some(loss)
     }
 

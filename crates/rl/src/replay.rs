@@ -8,7 +8,6 @@
 //! candidate actions too — otherwise `max_a' Q(s', a')` cannot be evaluated
 //! at replay time.
 
-use bytes::{Buf, BufMut};
 use rand::Rng;
 use std::collections::VecDeque;
 
@@ -33,77 +32,6 @@ pub struct NextState {
     pub state: Vec<f64>,
     /// Candidate action features at the next state (non-empty).
     pub actions: Vec<Vec<f64>>,
-}
-
-impl Transition {
-    /// Compact binary encoding (little-endian f64s with u32 lengths) for
-    /// checkpointing replay buffers across training sessions.
-    pub fn encode(&self, buf: &mut impl BufMut) {
-        fn put_vec(buf: &mut impl BufMut, v: &[f64]) {
-            buf.put_u32_le(v.len() as u32);
-            for &x in v {
-                buf.put_f64_le(x);
-            }
-        }
-        put_vec(buf, &self.state);
-        put_vec(buf, &self.action);
-        buf.put_f64_le(self.reward);
-        match &self.next {
-            None => buf.put_u8(0),
-            Some(n) => {
-                buf.put_u8(1);
-                put_vec(buf, &n.state);
-                buf.put_u32_le(n.actions.len() as u32);
-                for a in &n.actions {
-                    put_vec(buf, a);
-                }
-            }
-        }
-    }
-
-    /// Inverse of [`Transition::encode`]. Returns `None` on truncated input.
-    pub fn decode(buf: &mut impl Buf) -> Option<Self> {
-        fn get_vec(buf: &mut impl Buf) -> Option<Vec<f64>> {
-            if buf.remaining() < 4 {
-                return None;
-            }
-            let len = buf.get_u32_le() as usize;
-            if buf.remaining() < len * 8 {
-                return None;
-            }
-            Some((0..len).map(|_| buf.get_f64_le()).collect())
-        }
-        let state = get_vec(buf)?;
-        let action = get_vec(buf)?;
-        if buf.remaining() < 9 {
-            return None;
-        }
-        let reward = buf.get_f64_le();
-        let next = match buf.get_u8() {
-            0 => None,
-            _ => {
-                let nstate = get_vec(buf)?;
-                if buf.remaining() < 4 {
-                    return None;
-                }
-                let count = buf.get_u32_le() as usize;
-                let mut actions = Vec::with_capacity(count);
-                for _ in 0..count {
-                    actions.push(get_vec(buf)?);
-                }
-                Some(NextState {
-                    state: nstate,
-                    actions,
-                })
-            }
-        };
-        Some(Transition {
-            state,
-            action,
-            reward,
-            next,
-        })
-    }
 }
 
 /// Bounded uniform-sampling replay buffer.
@@ -159,31 +87,6 @@ impl ReplayMemory {
             .map(|_| &self.buffer[rng.gen_range(0..self.buffer.len())])
             .collect()
     }
-
-    /// Serializes the whole buffer (for checkpointing).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.put_u32_le(self.buffer.len() as u32);
-        for t in &self.buffer {
-            t.encode(&mut out);
-        }
-        out
-    }
-
-    /// Restores a buffer serialized by [`ReplayMemory::encode`] into a
-    /// memory with the given capacity (extra transitions beyond the
-    /// capacity are dropped oldest-first). Returns `None` on corrupt input.
-    pub fn decode(mut bytes: &[u8], capacity: usize) -> Option<Self> {
-        if bytes.remaining() < 4 {
-            return None;
-        }
-        let count = bytes.get_u32_le() as usize;
-        let mut mem = Self::new(capacity);
-        for _ in 0..count {
-            mem.push(Transition::decode(&mut bytes)?);
-        }
-        Some(mem)
-    }
 }
 
 #[cfg(test)]
@@ -192,19 +95,15 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn t(r: f64, terminal: bool) -> Transition {
+    fn t(r: f64) -> Transition {
         Transition {
             state: vec![0.1, 0.2],
             action: vec![0.3, 0.4, 0.5, 0.6],
             reward: r,
-            next: if terminal {
-                None
-            } else {
-                Some(NextState {
-                    state: vec![0.7, 0.8],
-                    actions: vec![vec![1.0; 4], vec![2.0; 4]],
-                })
-            },
+            next: Some(NextState {
+                state: vec![0.7, 0.8],
+                actions: vec![vec![1.0; 4], vec![2.0; 4]],
+            }),
         }
     }
 
@@ -212,7 +111,7 @@ mod tests {
     fn ring_buffer_evicts_oldest() {
         let mut m = ReplayMemory::new(3);
         for i in 0..5 {
-            m.push(t(i as f64, false));
+            m.push(t(i as f64));
         }
         assert_eq!(m.len(), 3);
         let mut rng = StdRng::seed_from_u64(1);
@@ -234,7 +133,7 @@ mod tests {
     fn sample_covers_contents() {
         let mut m = ReplayMemory::new(10);
         for i in 0..10 {
-            m.push(t(i as f64, false));
+            m.push(t(i as f64));
         }
         let mut rng = StdRng::seed_from_u64(3);
         let seen: std::collections::HashSet<u64> = m
@@ -246,41 +145,6 @@ mod tests {
             seen.len() >= 9,
             "uniform sampling should hit nearly all slots"
         );
-    }
-
-    #[test]
-    fn transition_binary_round_trip() {
-        for original in [t(1.5, false), t(100.0, true)] {
-            let mut buf = Vec::new();
-            original.encode(&mut buf);
-            let decoded = Transition::decode(&mut buf.as_slice()).unwrap();
-            assert_eq!(decoded, original);
-        }
-    }
-
-    #[test]
-    fn decode_rejects_truncation() {
-        let mut buf = Vec::new();
-        t(1.0, false).encode(&mut buf);
-        for cut in [1, buf.len() / 2, buf.len() - 1] {
-            assert!(
-                Transition::decode(&mut &buf[..cut]).is_none(),
-                "cut at {cut} should fail"
-            );
-        }
-    }
-
-    #[test]
-    fn memory_round_trip_respects_capacity() {
-        let mut m = ReplayMemory::new(8);
-        for i in 0..6 {
-            m.push(t(i as f64, i % 2 == 0));
-        }
-        let bytes = m.encode();
-        let back = ReplayMemory::decode(&bytes, 8).unwrap();
-        assert_eq!(back.len(), 6);
-        let tiny = ReplayMemory::decode(&bytes, 2).unwrap();
-        assert_eq!(tiny.len(), 2, "decode into smaller capacity keeps newest");
     }
 
     #[test]
