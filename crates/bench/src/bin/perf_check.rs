@@ -69,81 +69,21 @@ use isrl_bench::history::{
     baseline_of, check, check_ceilings, parse_history, HistoryRecord, BASELINE_WINDOW, CEILINGS,
     HISTORY_FILE,
 };
-use isrl_core::prelude::*;
-use isrl_data::{generate, skyline, Distribution};
-use isrl_geometry::{
-    GeometryBackend, Halfspace, Polytope, Region, RegionGeometry, RegionLpCache, WalkConfig,
+use isrl_bench::kernels::{
+    best_of, current_commit, cut_workload, min_ms, per_round, replay_cold, replay_warm,
+    vertex_fixture, REPS,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// Reps per metric; the recorded value is their minimum — the achievable
-/// floor is far more stable under transient scheduler/frequency noise
-/// than the median, and a *code* regression raises the floor too.
-const REPS: usize = 5;
-
-/// Milliseconds of one `f()` call.
-fn ms_of<F: FnMut()>(mut f: F) -> f64 {
-    let t = std::time::Instant::now();
-    f();
-    t.elapsed().as_secs_f64() * 1e3
-}
-
-/// Min-of-[`REPS`] milliseconds of `f`, after one warm-up call.
-fn bench<F: FnMut()>(mut f: F) -> f64 {
-    f();
-    (0..REPS)
-        .map(|_| ms_of(&mut f))
-        .fold(f64::INFINITY, f64::min)
-}
-
-/// A seeded cut sequence keeping the barycenter feasible, plus probe
-/// hyperplanes (the same construction as the lp_warm artifact).
-fn cut_workload(
-    d: usize,
-    cuts: usize,
-    probes: usize,
-    seed: u64,
-) -> (Vec<Halfspace>, Vec<Halfspace>) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let bary = vec![1.0 / d as f64; d];
-    let mut seq = Vec::with_capacity(cuts);
-    while seq.len() < cuts {
-        let a: Vec<f64> = (0..d).map(|_| rng.gen_range(0.01..1.0)).collect();
-        let b: Vec<f64> = (0..d).map(|_| rng.gen_range(0.01..1.0)).collect();
-        if let Some(h) = Halfspace::preferring(&a, &b) {
-            seq.push(if h.contains(&bary, 0.0) {
-                h
-            } else {
-                h.flipped()
-            });
-        }
-    }
-    let probe_set = (0..probes)
-        .map(|_| {
-            let v: Vec<f64> = (0..d).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            Halfspace::new(v)
-        })
-        .collect();
-    (seq, probe_set)
-}
+use isrl_core::prelude::*;
+use isrl_data::{generate, skyline, Dataset, Distribution};
+use isrl_geometry::{GeometryBackend, RegionGeometry, WalkConfig};
 
 fn kernel_vertex_update() -> f64 {
-    let (d, cuts) = (4usize, 14usize);
-    let (seq, _) = cut_workload(d, cuts, 0, 6);
-    let mut prior = Region::full(d);
-    for h in &seq[..cuts - 1] {
-        prior.add(h.clone());
-    }
-    let last = seq[cuts - 1].clone();
-    let prior_polytope = Polytope::from_region(&prior).expect("barycenter kept feasible");
+    let f = vertex_fixture();
     // 5000 updates per sample keeps one sample around a millisecond —
     // a 50-iteration sample sits at ~10 us, where timer and scheduling
     // jitter alone produce 1.7x run-to-run scatter.
-    bench(|| {
-        for _ in 0..5000 {
-            black_box(prior_polytope.update(&prior, &last));
-        }
+    min_ms(5000, || {
+        black_box(f.prior_polytope.update(&f.prior, &f.last));
     })
 }
 
@@ -152,7 +92,7 @@ fn kernel_top1_batch() -> f64 {
     let d = data.dim();
     let utilities = sample_users(d, 32, 12);
     let flat = data.as_flat();
-    bench(|| {
+    min_ms(1, || {
         black_box(isrl_linalg::top1_batch(&utilities, flat, d));
     })
 }
@@ -162,7 +102,7 @@ fn kernel_dot() -> f64 {
     let d = data.dim();
     let u = sample_users(d, 1, 14).pop().expect("one user");
     let flat = data.as_flat();
-    bench(|| {
+    min_ms(1, || {
         let mut acc = 0.0f64;
         for p in flat.chunks_exact(d) {
             acc += isrl_linalg::vector::dot(p, &u);
@@ -175,7 +115,7 @@ fn scan_top1_soa() -> f64 {
     let data = generate(50_000, 20, Distribution::AntiCorrelated, 11);
     let utilities = sample_users(data.dim(), 32, 12);
     let soa = data.soa(); // mirror built outside the timed region
-    bench(|| {
+    min_ms(1, || {
         black_box(isrl_linalg::top1_soa(&utilities, soa));
     })
 }
@@ -183,7 +123,7 @@ fn scan_top1_soa() -> f64 {
 fn geom_cloud_cut() -> f64 {
     let d = 20usize;
     let (seq, _) = cut_workload(d, 12, 0, 21);
-    bench(|| {
+    min_ms(1, || {
         let mut geom = RegionGeometry::sampled(d, WalkConfig::default(), 77);
         for h in &seq {
             geom.add(h.clone());
@@ -192,145 +132,51 @@ fn geom_cloud_cut() -> f64 {
     })
 }
 
+/// `(lp.warm_replay, lp.cold_replay)`.
 fn lp_replays() -> (f64, f64) {
-    let (d, cuts, probes) = (8usize, 15usize, 6usize);
-    let (seq, probe_set) = cut_workload(d, cuts, probes, 1);
-    let replay_cold = || {
-        let mut region = Region::full(d);
-        for h in &seq {
-            region.add(h.clone());
-            black_box(region.inner_sphere());
-            black_box(region.outer_rectangle());
-            for p in &probe_set {
-                black_box(region.is_cut_by(p));
-            }
-        }
-    };
-    let replay_warm = || {
-        let mut region = Region::full(d);
-        let mut cache = RegionLpCache::new();
-        for h in &seq {
-            region.add(h.clone());
-            black_box(region.inner_sphere_with(&mut cache));
-            black_box(region.outer_rectangle_with(&mut cache));
-            for p in &probe_set {
-                black_box(region.is_cut_by_with(p, &mut cache));
-            }
-        }
-    };
-    (bench(replay_warm), bench(replay_cold))
+    let d = 8usize;
+    let (seq, probes) = cut_workload(d, 15, 6, 1);
+    (
+        min_ms(1, || replay_warm(d, &seq, &probes)),
+        min_ms(1, || replay_cold(d, &seq, &probes)),
+    )
 }
 
-fn round_ea_untrained() -> f64 {
+/// Regret threshold of every round and serving bench.
+const EPS: f64 = 0.15;
+
+/// `(round.*, p99.round_*)` of one untrained-EA workload: the per-round
+/// mean, and the p99 *tail* from a fresh `QuantileSketch` (1% relative
+/// error) per rep over `TraceMode::PerRound` passes, so the mean pass is
+/// undisturbed.
+fn round_metrics(ea: &mut EaAgent, data: &Dataset, users: &[Vec<f64>]) -> (f64, f64) {
+    let [mean] = best_of(|| [per_round(ea, data, users, EPS, TraceMode::Off).ms_per_round()]);
+    let [p99] = best_of(|| {
+        let mut sk = isrl_obs::QuantileSketch::default_config();
+        for ms in per_round(ea, data, users, EPS, TraceMode::PerRound).round_ms {
+            sk.record(ms);
+        }
+        [sk.quantile(0.99)]
+    });
+    (mean, p99)
+}
+
+/// `round.ea_untrained` and its p99: d = 4, skyline of 400 tuples.
+fn round_ea_untrained() -> (f64, f64) {
     let data = skyline(&generate(400, 4, Distribution::AntiCorrelated, 1));
-    let d = data.dim();
-    let eps = 0.15;
-    let users = sample_users(d, 3, 3);
-    let mut ea = EaAgent::new(d, EaConfig::paper_default().with_seed(4));
-    let run_all = |ea: &mut EaAgent| {
-        let mut rounds = 0usize;
-        let mut secs = 0.0f64;
-        for (i, u) in users.iter().enumerate() {
-            ea.reseed(0x5eed + i as u64);
-            let mut user = SimulatedUser::new(u.clone());
-            let out = ea.run(&data, &mut user, eps, TraceMode::Off);
-            rounds += out.rounds;
-            secs += out.elapsed.as_secs_f64();
-        }
-        (rounds, secs)
-    };
-    run_all(&mut ea); // warm-up
-    (0..REPS)
-        .map(|_| {
-            let (rounds, secs) = run_all(&mut ea);
-            secs * 1e3 / rounds.max(1) as f64
-        })
-        .fold(f64::INFINITY, f64::min)
+    let users = sample_users(data.dim(), 3, 3);
+    let mut ea = EaAgent::new(data.dim(), EaConfig::paper_default().with_seed(4));
+    round_metrics(&mut ea, &data, &users)
 }
 
-fn round_ea_sampled_d20() -> f64 {
+/// `round.ea_sampled_d20` and its p99: the sampled backend at d = 20.
+fn round_ea_sampled_d20() -> (f64, f64) {
     let data = generate(2_000, 20, Distribution::AntiCorrelated, 1);
-    let d = data.dim();
-    let eps = 0.15;
-    let users = sample_users(d, 2, 6);
+    let users = sample_users(data.dim(), 2, 6);
     let mut cfg = EaConfig::paper_default().with_seed(7);
     cfg.geometry = GeometryBackend::Sampled;
-    let mut ea = EaAgent::new(d, cfg);
-    let run_all = |ea: &mut EaAgent| {
-        let mut rounds = 0usize;
-        let mut secs = 0.0f64;
-        for (i, u) in users.iter().enumerate() {
-            ea.reseed(0x5eed + i as u64);
-            let mut user = SimulatedUser::new(u.clone());
-            let out = ea.run(&data, &mut user, eps, TraceMode::Off);
-            rounds += out.rounds;
-            secs += out.elapsed.as_secs_f64();
-        }
-        (rounds, secs)
-    };
-    run_all(&mut ea); // warm-up
-    (0..REPS)
-        .map(|_| {
-            let (rounds, secs) = run_all(&mut ea);
-            secs * 1e3 / rounds.max(1) as f64
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
-/// Per-round latencies (ms) of one replay of `users`, taken as deltas of
-/// the cumulative per-round `elapsed` stamps of a `TraceMode::PerRound`
-/// run. The telemetry sink stays disabled — the round trace is part of the
-/// interaction API, not the global sink.
-fn round_latencies(ea: &mut EaAgent, data: &isrl_data::Dataset, users: &[Vec<f64>]) -> Vec<f64> {
-    let eps = 0.15;
-    let mut out = Vec::new();
-    for (i, u) in users.iter().enumerate() {
-        ea.reseed(0x5eed + i as u64);
-        let mut user = SimulatedUser::new(u.clone());
-        let outcome = ea.run(data, &mut user, eps, TraceMode::PerRound);
-        let mut prev = 0.0f64;
-        for rt in &outcome.trace {
-            let e = rt.elapsed.as_secs_f64() * 1e3;
-            out.push(e - prev);
-            prev = e;
-        }
-    }
-    out
-}
-
-/// Min-of-[`REPS`] sketched p99 of per-round latency: each rep feeds one
-/// replay's rounds into a fresh `QuantileSketch` (1% relative error) and
-/// reads its p99; the minimum is the achievable tail floor, stable under
-/// transient noise for the same reason the mean metrics use min.
-fn p99_of<F: FnMut() -> Vec<f64>>(mut latencies: F) -> f64 {
-    latencies(); // warm-up
-    (0..REPS)
-        .map(|_| {
-            let mut sk = isrl_obs::QuantileSketch::default_config();
-            for ms in latencies() {
-                sk.record(ms);
-            }
-            sk.quantile(0.99)
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
-fn p99_round_ea_untrained() -> f64 {
-    let data = skyline(&generate(400, 4, Distribution::AntiCorrelated, 1));
-    let d = data.dim();
-    let users = sample_users(d, 3, 3);
-    let mut ea = EaAgent::new(d, EaConfig::paper_default().with_seed(4));
-    p99_of(|| round_latencies(&mut ea, &data, &users))
-}
-
-fn p99_round_ea_sampled_d20() -> f64 {
-    let data = generate(2_000, 20, Distribution::AntiCorrelated, 1);
-    let d = data.dim();
-    let users = sample_users(d, 2, 6);
-    let mut cfg = EaConfig::paper_default().with_seed(7);
-    cfg.geometry = GeometryBackend::Sampled;
-    let mut ea = EaAgent::new(d, cfg);
-    p99_of(|| round_latencies(&mut ea, &data, &users))
+    let mut ea = EaAgent::new(data.dim(), cfg);
+    round_metrics(&mut ea, &data, &users)
 }
 
 /// The dataset and untrained-EA policy both serving benches run.
@@ -343,26 +189,19 @@ fn serve_fixture() -> (Arc<isrl_data::Dataset>, Arc<ServePolicy>) {
     (data, policy)
 }
 
-/// Regret threshold of every serving-bench session.
-const SERVE_EPS: f64 = 0.15;
-
 /// The serving-core bench: 64 untrained-EA sessions through one registry,
-/// answered lockstep by seeded simulated utilities, batching enabled.
+/// answered lockstep by seeded simulated utilities, scans coalesced.
 /// Returns `(serve.session_ms, serve.round_p99)`: mean wall ms per
 /// session, and the sketched p99 of one coalesced `pump_all` cycle.
 fn serve_registry() -> (f64, f64) {
     let (data, policy) = serve_fixture();
     let n_sessions = 64usize;
     let users = sample_users(data.dim(), n_sessions, 17);
-    let run_once = || -> (f64, f64) {
+    let run_once = || {
         let mut registry = SessionRegistry::new(Arc::clone(&data));
         registry.register(Arc::clone(&policy));
         let ids: Vec<u64> = (0..n_sessions)
-            .map(|i| {
-                registry
-                    .open(AlgoKind::Ea, SERVE_EPS, 0x5eed + i as u64)
-                    .unwrap()
-            })
+            .map(|i| registry.open(AlgoKind::Ea, EPS, 0x5eed + i as u64).unwrap())
             .collect();
         let t0 = std::time::Instant::now();
         let mut sk = isrl_obs::QuantileSketch::default_config();
@@ -389,14 +228,10 @@ fn serve_registry() -> (f64, f64) {
             }
         }
         let total_ms = t0.elapsed().as_secs_f64() * 1e3;
-        (total_ms / n_sessions as f64, sk.quantile(0.99))
+        [total_ms / n_sessions as f64, sk.quantile(0.99)]
     };
-    run_once(); // warm-up
-    (0..REPS)
-        .map(|_| run_once())
-        .fold((f64::INFINITY, f64::INFINITY), |acc, (s, p)| {
-            (acc.0.min(s), acc.1.min(p))
-        })
+    let [session_ms, round_p99] = best_of(run_once);
+    (session_ms, round_p99)
 }
 
 /// The wire-path bench: a loopback server over the serving fixture, and
@@ -405,7 +240,7 @@ fn serve_registry() -> (f64, f64) {
 /// client-observed round latency quantiles in ms.
 fn serve_wire() -> (f64, f64) {
     let (data, policy) = serve_fixture();
-    let run_once = || -> (f64, f64) {
+    let run_once = || {
         let server = spawn_server(
             Arc::clone(&data),
             vec![Arc::clone(&policy)],
@@ -417,35 +252,15 @@ fn serve_wire() -> (f64, f64) {
             users: 64,
             concurrency: 2,
             seed: 17,
-            eps: SERVE_EPS,
+            eps: EPS,
             ..LoadgenConfig::default()
         })
         .expect("loadgen over loopback");
         server.shutdown();
-        (report.round_p50_ms, report.round_p99_ms)
+        [report.round_p50_ms, report.round_p99_ms]
     };
-    run_once(); // warm-up
-    (0..REPS)
-        .map(|_| run_once())
-        .fold((f64::INFINITY, f64::INFINITY), |acc, (p50, p99)| {
-            (acc.0.min(p50), acc.1.min(p99))
-        })
-}
-
-fn current_commit() -> String {
-    if let Ok(sha) = std::env::var("GITHUB_SHA") {
-        if !sha.is_empty() {
-            return sha;
-        }
-    }
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".into())
+    let [p50, p99] = best_of(run_once);
+    (p50, p99)
 }
 
 fn main() {
@@ -485,13 +300,12 @@ fn main() {
     metrics.insert("lp.warm_replay".into(), warm);
     metrics.insert("lp.cold_replay".into(), cold);
     metrics.insert("geom.cloud_cut".into(), geom_cloud_cut());
-    metrics.insert("round.ea_untrained".into(), round_ea_untrained());
-    metrics.insert("round.ea_sampled_d20".into(), round_ea_sampled_d20());
-    metrics.insert("p99.round_ea_untrained".into(), p99_round_ea_untrained());
-    metrics.insert(
-        "p99.round_ea_sampled_d20".into(),
-        p99_round_ea_sampled_d20(),
-    );
+    let (mean, p99) = round_ea_untrained();
+    metrics.insert("round.ea_untrained".into(), mean);
+    metrics.insert("p99.round_ea_untrained".into(), p99);
+    let (mean, p99) = round_ea_sampled_d20();
+    metrics.insert("round.ea_sampled_d20".into(), mean);
+    metrics.insert("p99.round_ea_sampled_d20".into(), p99);
     let (serve_session, serve_p99) = serve_registry();
     metrics.insert("serve.session_ms".into(), serve_session);
     metrics.insert("serve.round_p99".into(), serve_p99);

@@ -1,8 +1,11 @@
-//! Result tables: aligned terminal rendering plus CSV export, one table per
-//! paper exhibit. EXPERIMENTS.md is assembled from these.
+//! Result tables: aligned terminal rendering plus CSV and JSON export, one
+//! table per paper exhibit or bench workload. EXPERIMENTS.md is assembled
+//! from these.
 
 use std::fmt::Write as _;
 use std::path::Path;
+
+use isrl_obs::Json;
 
 /// A rectangular result table.
 #[derive(Debug, Clone)]
@@ -90,69 +93,49 @@ impl Table {
     }
 
     /// JSON serialization: `{id, title, rows: [{header: cell, ...}, ...]}`.
-    /// Cells that parse as finite numbers are emitted as JSON numbers,
-    /// everything else as escaped strings. Hand-rolled because the tree
-    /// carries no serde_json.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\n  \"id\": {},\n  \"title\": {},\n  \"rows\": [",
-            json_string(&self.id),
-            json_string(&self.title)
-        );
-        for (i, row) in self.rows.iter().enumerate() {
-            let _ = write!(out, "{}\n    {{", if i == 0 { "" } else { "," });
-            for (j, (h, cell)) in self.headers.iter().zip(row).enumerate() {
-                let sep = if j == 0 { "" } else { ", " };
-                let _ = write!(out, "{sep}{}: {}", json_string(h), json_cell(cell));
-            }
-            out.push('}');
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+    /// Cells that parse as finite numbers become JSON numbers, everything
+    /// else strings.
+    pub fn to_json(&self) -> Json {
+        let cell = |c: &String| match c.parse::<f64>() {
+            Ok(v) if v.is_finite() => Json::Num(v),
+            _ => Json::Str(c.clone()),
+        };
+        let rows = self
+            .rows
+            .iter()
+            .map(|row| {
+                Json::obj(
+                    self.headers
+                        .iter()
+                        .cloned()
+                        .zip(row.iter().map(cell))
+                        .collect(),
+                )
+            })
+            .collect();
+        Json::obj(vec![
+            ("id".into(), self.id.as_str().into()),
+            ("title".into(), self.title.as_str().into()),
+            ("rows".into(), Json::Arr(rows)),
+        ])
     }
 
     /// Writes the JSON serialization to `path`.
     pub fn save_json(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+        std::fs::write(path, format!("{}\n", self.to_json()))
     }
 }
 
-/// Escapes a string for JSON embedding (quotes, backslashes, control chars).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A table cell as a JSON value: verbatim when it is a finite number in
-/// plain decimal notation (which is also valid JSON), quoted otherwise.
-fn json_cell(cell: &str) -> String {
-    let body = cell.strip_prefix('-').unwrap_or(cell);
-    let plain = body.starts_with(|c: char| c.is_ascii_digit())
-        && !body.ends_with('.')
-        && body.chars().all(|c| c.is_ascii_digit() || c == '.')
-        && body.chars().filter(|&c| c == '.').count() <= 1;
-    if plain {
-        cell.to_string()
-    } else {
-        json_string(cell)
-    }
+/// A bench artifact: `{"provenance": provenance, "tables": [<table>...]}`,
+/// the one shape of every `BENCH_*.json` that `bench_all` writes.
+pub fn artifact(provenance: Json, tables: &[Table]) -> Json {
+    Json::obj(vec![
+        ("provenance".into(), provenance),
+        (
+            "tables".into(),
+            Json::Arr(tables.iter().map(Table::to_json).collect()),
+        ),
+    ])
 }
 
 /// Formats a float with 2 decimal places (the paper's table precision).
@@ -210,20 +193,34 @@ mod tests {
     }
 
     #[test]
-    fn json_emits_numbers_verbatim_and_quotes_the_rest() {
-        let mut t = Table::new("hp", "hot path", &["algo", "ms", "note"]);
-        t.push_row(vec!["EA".into(), "3.40".into(), "d=4 \"cap\"".into()]);
-        t.push_row(vec!["AA".into(), "-0.5".into(), "".into()]);
-        let j = t.to_json();
-        assert!(j.contains("\"ms\": 3.40"), "number left verbatim: {j}");
-        assert!(j.contains("\"ms\": -0.5"), "negatives too: {j}");
-        assert!(j.contains("\"algo\": \"EA\""), "strings quoted: {j}");
-        assert!(j.contains(r#"\"cap\""#), "quotes escaped: {j}");
-        // Non-JSON numeric shapes must fall back to strings.
-        assert_eq!(super::json_cell("1e9"), "\"1e9\"");
-        assert_eq!(super::json_cell(".5"), "\".5\"");
-        assert_eq!(super::json_cell("3."), "\"3.\"");
-        assert_eq!(super::json_cell("1.2.3"), "\"1.2.3\"");
+    fn artifact_parses_back_with_numbers_and_quoted_strings() {
+        let mut hp = Table::new("hp", "hot path", &["algo", "ms", "note"]);
+        hp.push_row(vec!["EA".into(), "3.40".into(), "d=4 \"cap\"".into()]);
+        hp.push_row(vec!["AA".into(), "-0.5".into(), "".into()]);
+        let mut lp = Table::new("lp", "warm", &["d", "divergences"]);
+        lp.push_row(vec!["20".into(), "0".into()]);
+        let provenance = Json::obj(vec![
+            ("commit".into(), "abc123".into()),
+            ("cpu".into(), "x86 \"test\"".into()),
+            ("nproc".into(), 2usize.into()),
+            ("command".into(), "bench_all hotpath".into()),
+        ]);
+        let text = artifact(provenance, &[hp, lp]).to_string();
+        let doc = isrl_obs::json::parse(&text).unwrap();
+        let prov = doc.get("provenance").unwrap();
+        assert_eq!(prov.get("cpu").unwrap().as_str(), Some("x86 \"test\""));
+        assert_eq!(prov.get("nproc").unwrap().as_f64(), Some(2.0));
+        let tables = doc.get("tables").unwrap().as_arr().unwrap();
+        assert_eq!(tables.len(), 2);
+        assert_eq!(tables[0].get("id").unwrap().as_str(), Some("hp"));
+        let rows = tables[0].get("rows").unwrap().as_arr().unwrap();
+        assert_eq!(rows[0].get("ms").unwrap().as_f64(), Some(3.4));
+        assert_eq!(rows[1].get("ms").unwrap().as_f64(), Some(-0.5));
+        assert_eq!(rows[0].get("algo").unwrap().as_str(), Some("EA"));
+        assert_eq!(rows[0].get("note").unwrap().as_str(), Some("d=4 \"cap\""));
+        assert_eq!(rows[1].get("note").unwrap().as_str(), Some(""));
+        let lp_rows = tables[1].get("rows").unwrap().as_arr().unwrap();
+        assert_eq!(lp_rows[0].get("divergences").unwrap().as_f64(), Some(0.0));
     }
 
     #[test]

@@ -155,12 +155,28 @@ pub fn train(args: &Args) -> CmdResult {
     crate::trace::finish(tracing)
 }
 
+/// Rejects a checkpoint whose dimension differs from the dataset's, before
+/// anything binds or runs (the library asserts the same invariant).
+fn check_dim(path: &str, model_dim: usize, data_dim: usize) -> CmdResult {
+    if model_dim != data_dim {
+        return Err(format!(
+            "{path}: checkpoint is {model_dim}-dimensional but the dataset is \
+             {data_dim}-dimensional"
+        )
+        .into());
+    }
+    Ok(())
+}
+
+/// Loads an EA or AA checkpoint trained on `data_dim`-dimensional data.
 fn load_agent(
     path: &str,
     geometry: Option<GeometryBackend>,
+    data_dim: usize,
 ) -> Result<Box<dyn InteractiveAlgorithm>, Box<dyn std::error::Error>> {
     let bytes = std::fs::read(path)?;
     if let Ok(mut agent) = checkpoint::load_ea(&bytes) {
+        check_dim(path, agent.dim(), data_dim)?;
         // The backend is a serving-time choice, not persisted state: a
         // checkpoint restores to the auto-by-dimension default unless the
         // flag overrides it here.
@@ -172,7 +188,9 @@ fn load_agent(
     if geometry.is_some() {
         return Err("--geometry applies to EA checkpoints only (AA never enumerates)".into());
     }
-    Ok(Box::new(checkpoint::load_aa(&bytes)?))
+    let agent = checkpoint::load_aa(&bytes)?;
+    check_dim(path, agent.dim(), data_dim)?;
+    Ok(Box::new(agent))
 }
 
 /// `isrl eval` — run a trained (or baseline) algorithm over simulated users.
@@ -203,7 +221,7 @@ pub fn eval(args: &Args) -> CmdResult {
     let geometry = geometry_arg(args)?;
 
     let mut algo: Box<dyn InteractiveAlgorithm> = match (args.get("model"), args.get("baseline")) {
-        (Some(path), _) if !path.is_empty() => load_agent(path, geometry)?,
+        (Some(path), _) if !path.is_empty() => load_agent(path, geometry, data.dim())?,
         (_, Some(name)) if !name.is_empty() => {
             if geometry.is_some() {
                 return Err("--geometry applies to EA checkpoints, not baselines".into());
@@ -260,13 +278,15 @@ pub fn eval(args: &Args) -> CmdResult {
 }
 
 /// Loads a checkpoint as a shared serving policy, applying the EA
-/// geometry override with `load_agent`'s semantics.
+/// geometry override and dimension check with `load_agent`'s semantics.
 fn load_policy(
     path: &str,
     geometry: Option<GeometryBackend>,
+    data_dim: usize,
 ) -> Result<ServePolicy, Box<dyn std::error::Error>> {
     let bytes = std::fs::read(path)?;
     let mut policy = ServePolicy::from_checkpoint(&bytes)?;
+    check_dim(path, policy.dim(), data_dim)?;
     if let Some(backend) = geometry {
         if !policy.set_geometry(backend) {
             return Err("--geometry applies to EA checkpoints only (AA never enumerates)".into());
@@ -279,7 +299,7 @@ fn load_policy(
 /// with the operational-observability knobs of DESIGN.md §16.
 fn serve_listen(args: &Args, data: Dataset, listen: &str) -> CmdResult {
     let tracing = crate::trace::begin(args)?;
-    let policy = load_policy(args.required("model")?, geometry_arg(args)?)?;
+    let policy = load_policy(args.required("model")?, geometry_arg(args)?, data.dim())?;
     let defaults = ServerConfig::default();
     let rolling_window = args.get_or(
         "rolling-window",
@@ -378,7 +398,7 @@ pub fn serve(args: &Args) -> CmdResult {
     // silently ignored on this path).
     let tracing = crate::trace::begin(args)?;
     let eps = args.get_or("eps", 0.1f64, "number")?;
-    let mut algo = load_agent(args.required("model")?, geometry_arg(args)?)?;
+    let mut algo = load_agent(args.required("model")?, geometry_arg(args)?, data.dim())?;
     println!("answer each question with 1 or 2.\n");
 
     struct Stdin<'a> {

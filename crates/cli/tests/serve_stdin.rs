@@ -1,6 +1,7 @@
 //! The stdin interview must reject malformed answers with a re-prompt
 //! (sharing the wire protocol's answer parser) instead of treating
-//! garbage as a choice, and still finish the session.
+//! garbage as a choice, and still finish the session. Every command that
+//! loads a checkpoint must refuse one trained on another dimension.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -78,5 +79,56 @@ fn interview_reprompts_on_malformed_answers() {
     assert!(
         stdout.contains("your tuple"),
         "interview must still finish:\n{stdout}"
+    );
+}
+
+#[test]
+fn checkpoint_dimension_mismatch_exits_one_without_panicking() {
+    let ckpt = tmp("dim2.ckpt");
+    let out = Command::new(env!("CARGO_BIN_EXE_isrl"))
+        .args([
+            "train",
+            "--builtin",
+            "anti:80x2",
+            "--algo",
+            "ea",
+            "--episodes",
+            "2",
+            "--out",
+            &ckpt,
+        ])
+        .output()
+        .expect("failed to spawn isrl train");
+    assert!(out.status.success(), "train failed");
+
+    let port_file = tmp("dim.port");
+    let data = ["--builtin", "anti:80x3", "--model", &ckpt];
+    let commands: [Vec<&str>; 3] = [
+        [&["eval"][..], &data, &["--users", "2"]].concat(),
+        [&["serve"][..], &data].concat(),
+        [
+            &["serve"][..],
+            &data,
+            &["--listen", "127.0.0.1:0", "--port-file", &port_file],
+        ]
+        .concat(),
+    ];
+    for args in &commands {
+        let out = Command::new(env!("CARGO_BIN_EXE_isrl"))
+            .args(args)
+            .stdin(Stdio::null())
+            .output()
+            .expect("failed to spawn isrl");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("2-dimensional") && stderr.contains("3-dimensional"),
+            "{args:?} must name both dimensions: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+    }
+    assert!(
+        !std::path::Path::new(&port_file).exists(),
+        "a refused server must not write its port file"
     );
 }

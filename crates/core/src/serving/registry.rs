@@ -35,28 +35,19 @@ pub struct SessionRegistry {
     policies: Vec<Arc<ServePolicy>>,
     sessions: BTreeMap<u64, ServeSession>,
     next_id: u64,
-    batching: bool,
     stats: BatchStats,
 }
 
 impl SessionRegistry {
-    /// An empty registry over `data`, with batching enabled.
+    /// An empty registry over `data`.
     pub fn new(data: Arc<Dataset>) -> Self {
         Self {
             data,
             policies: Vec::new(),
             sessions: BTreeMap::new(),
             next_id: 1,
-            batching: true,
             stats: BatchStats::default(),
         }
-    }
-
-    /// Disables (or re-enables) scan coalescing; sessions then scan one by
-    /// one. Exists for the differential tests — batched and unbatched
-    /// serving must be indistinguishable to every session.
-    pub fn set_batching(&mut self, on: bool) {
-        self.batching = on;
     }
 
     /// The shared dataset.
@@ -141,8 +132,8 @@ impl SessionRegistry {
     }
 
     /// Serves every pending scan once: takes all waiting utility vectors
-    /// (in session-id order), answers them — coalesced into a single
-    /// `top1_batch` call when batching is on — and hands each session its
+    /// (in session-id order), answers them with a single coalesced
+    /// `top1_batch` call, and hands each session its
     /// slice. Returns the number of sessions scanned; EA sessions on the
     /// exact backend need two pumps per round, so drivers loop via
     /// [`pump_all`](Self::pump_all).
@@ -156,34 +147,20 @@ impl SessionRegistry {
         if pending.is_empty() {
             return 0;
         }
-        if self.batching {
-            let flat: Vec<&Vec<f64>> = pending.iter().flat_map(|(_, u)| u.iter()).collect();
-            let top1 = {
-                let _t = isrl_obs::span("top1");
-                self.data.top1_batch(&flat)
-            };
-            self.record_call(pending.len(), flat.len());
-            let mut offset = 0;
-            for (id, utilities) in &pending {
-                let slice = &top1[offset..offset + utilities.len()];
-                offset += utilities.len();
-                self.sessions
-                    .get_mut(id)
-                    .expect("pending session vanished mid-pump")
-                    .provide_scan(utilities, slice);
-            }
-        } else {
-            for (id, utilities) in &pending {
-                let top1 = {
-                    let _t = isrl_obs::span("top1");
-                    self.data.top1_batch(utilities)
-                };
-                self.record_call(1, utilities.len());
-                self.sessions
-                    .get_mut(id)
-                    .expect("pending session vanished mid-pump")
-                    .provide_scan(utilities, &top1);
-            }
+        let flat: Vec<&Vec<f64>> = pending.iter().flat_map(|(_, u)| u.iter()).collect();
+        let top1 = {
+            let _t = isrl_obs::span("top1");
+            self.data.top1_batch(&flat)
+        };
+        self.record_call(pending.len(), flat.len());
+        let mut offset = 0;
+        for (id, utilities) in &pending {
+            let slice = &top1[offset..offset + utilities.len()];
+            offset += utilities.len();
+            self.sessions
+                .get_mut(id)
+                .expect("pending session vanished mid-pump")
+                .provide_scan(utilities, slice);
         }
         pending.len()
     }

@@ -1,11 +1,12 @@
 //! Minimal JSON value type, writer, and parser.
 //!
 //! The workspace policy is zero external dependencies (everything else is
-//! vendored path-stubs), so the telemetry layer carries its own JSON just
-//! like `bench::report` hand-rolls its table export. The writer emits
-//! compact single-line documents (JSONL-friendly); the parser exists so the
-//! CLI's `trace-validate` subcommand and the CI smoke job can check emitted
-//! traces against the schema in DESIGN.md §9 without a registry dependency.
+//! vendored path-stubs), so the telemetry layer carries its own JSON, which
+//! `bench::report` also writes its tables and bench artifacts with. The
+//! writer emits compact single-line documents (JSONL-friendly); the parser
+//! exists so the CLI's `trace-validate` subcommand and the CI smoke job can
+//! check emitted traces against the schema in DESIGN.md §9 without a
+//! registry dependency.
 
 use std::collections::BTreeMap;
 use std::fmt;
