@@ -442,7 +442,8 @@ fn lp_warm() -> Vec<Table> {
     }
 
     // Warm-path telemetry over one sweep: how often the carried basis
-    // survives vs falls back to the cold path.
+    // survives vs falls back to the cold path, and how many LPs the
+    // certificates answered without a solve.
     isrl_obs::set_enabled(true);
     isrl_obs::reset();
     for d in dims {
@@ -457,6 +458,8 @@ fn lp_warm() -> Vec<Table> {
         "lp.warm.fallbacks",
         "lp.warm.repair_pivots",
         "lp.warm.refactor_pivots",
+        "lp.cert.extent_hits",
+        "lp.cert.cut_hits",
     ];
     let values = names.map(|name| {
         snap.counters

@@ -10,11 +10,13 @@
 //!   the `serve_round` events, at the sketch's rank, within sketch error;
 //! * `--metrics-interval` timeseries samples carry the serve gauges
 //!   (`serve.active_sessions`, `serve.batch.window_occupancy`) and the
-//!   final snapshot survives clean shutdown.
+//!   final snapshot survives clean shutdown;
+//! * a request's latency clock starts when its line is read, so a stall
+//!   in the cut its answer applies shows in its `serve_round` event.
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 
 fn tmp(name: &str) -> String {
@@ -34,6 +36,40 @@ struct KillOnDrop(Child);
 impl Drop for KillOnDrop {
     fn drop(&mut self) {
         let _ = self.0.kill();
+    }
+}
+
+/// Waits for `serve --port-file` to name the bound port; returns the
+/// server's address.
+fn wait_for_port(port_file: &str) -> String {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        if let Some(p) = std::fs::read_to_string(port_file)
+            .ok()
+            .and_then(|t| t.trim().parse::<u16>().ok())
+        {
+            return format!("127.0.0.1:{p}");
+        }
+        assert!(
+            Instant::now() < deadline,
+            "server never wrote the port file"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// Sends a `shutdown` frame and waits for the server to exit.
+fn shut_down(addr: &str, server: &mut KillOnDrop) -> ExitStatus {
+    let mut stream = TcpStream::connect(addr).expect("connect for shutdown");
+    stream.write_all(b"{\"kind\":\"shutdown\"}\n").unwrap();
+    drop(stream);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        if let Some(s) = server.0.try_wait().expect("try_wait failed") {
+            return s;
+        }
+        assert!(Instant::now() < deadline, "server did not exit");
+        std::thread::sleep(Duration::from_millis(20));
     }
 }
 
@@ -125,21 +161,7 @@ fn live_stats_and_flight_recorder_drill() {
             .spawn()
             .expect("failed to spawn isrl serve"),
     );
-    let deadline = Instant::now() + Duration::from_secs(60);
-    let port = loop {
-        if let Some(p) = std::fs::read_to_string(&port_file)
-            .ok()
-            .and_then(|t| t.trim().parse::<u16>().ok())
-        {
-            break p;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "server never wrote the port file"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    let addr = format!("127.0.0.1:{port}");
+    let addr = wait_for_port(&port_file);
 
     let loadgen = KillOnDrop(
         Command::new(env!("CARGO_BIN_EXE_isrl"))
@@ -205,17 +227,7 @@ fn live_stats_and_flight_recorder_drill() {
     assert_eq!(live_slow, 1.0, "exactly one slow_round dump: {snap}");
 
     // Clean shutdown; the final metrics snapshot must still be flushed.
-    let mut stream = TcpStream::connect(&addr).expect("connect for shutdown");
-    stream.write_all(b"{\"kind\":\"shutdown\"}\n").unwrap();
-    drop(stream);
-    let deadline = Instant::now() + Duration::from_secs(60);
-    let status = loop {
-        if let Some(s) = server.0.try_wait().expect("try_wait failed") {
-            break s;
-        }
-        assert!(Instant::now() < deadline, "server did not exit");
-        std::thread::sleep(Duration::from_millis(20));
-    };
+    let status = shut_down(&addr, &mut server);
     let mut stdout = String::new();
     std::io::Read::read_to_string(server.0.stdout.as_mut().unwrap(), &mut stdout).unwrap();
     assert!(
@@ -325,5 +337,96 @@ fn live_stats_and_flight_recorder_drill() {
     assert!(
         serve_json.contains("p99_ms") || serve_json.contains("p99"),
         "serve table saved: {serve_json}"
+    );
+}
+
+#[test]
+fn request_latency_counts_the_answers_own_cut() {
+    let ckpt = tmp("clock.ckpt");
+    let out = isrl(&[
+        "train",
+        "--builtin",
+        "anti:200x3",
+        "--algo",
+        "ea",
+        "--episodes",
+        "1",
+        "--seed",
+        "3",
+        "--eps",
+        "0.05",
+        "--out",
+        &ckpt,
+    ]);
+    assert!(
+        out.status.success(),
+        "train failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    // The third `geom_update` process-wide — the cut applied by the third
+    // answer, on the core thread before the batch runs — busy-waits 300 ms.
+    let port_file = tmp("clock.port");
+    let trace = tmp("clock.jsonl");
+    let mut server = KillOnDrop(
+        Command::new(env!("CARGO_BIN_EXE_isrl"))
+            .env("ISRL_SLOW_SPAN", "geom_update:300:@3")
+            .args([
+                "serve",
+                "--builtin",
+                "anti:200x3",
+                "--model",
+                &ckpt,
+                "--listen",
+                "127.0.0.1:0",
+                "--port-file",
+                &port_file,
+                "--trace-out",
+                &trace,
+            ])
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("failed to spawn isrl serve"),
+    );
+    let addr = wait_for_port(&port_file);
+
+    let out = isrl(&[
+        "loadgen",
+        "--connect",
+        &addr,
+        "--users",
+        "1",
+        "--concurrency",
+        "1",
+        "--seed",
+        "7",
+        "--eps",
+        "0.05",
+    ]);
+    assert!(
+        out.status.success(),
+        "loadgen failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let status = shut_down(&addr, &mut server);
+    assert!(status.success(), "server exited {:?}", status.code());
+
+    // One user's requests are served in order: hello, then one answer per
+    // round. The fourth request carries the third answer.
+    let text = std::fs::read_to_string(&trace).unwrap();
+    let round_ms: Vec<f64> = text
+        .lines()
+        .filter(|l| l.contains("\"ev\":\"serve_round\""))
+        .map(|l| field_f64(l, "ms"))
+        .collect();
+    assert!(
+        round_ms.len() >= 4,
+        "the session needs at least three answers: {round_ms:?}"
+    );
+    assert!(
+        round_ms[3] >= 300.0,
+        "the stalled answer's request must count its cut: {round_ms:?}"
     );
 }

@@ -118,8 +118,10 @@ pub struct ServerStats {
 enum Msg {
     /// A connection arrived; the stream is the writer half.
     NewConn(u64, TcpStream),
-    /// One line from a connection.
-    Line(u64, String),
+    /// One line from a connection, stamped when its reader thread read it:
+    /// a request's latency clock starts there, so it counts the channel
+    /// queue and the request's own cut as well as the batch.
+    Line(u64, String, Instant),
     /// A connection sent a line longer than [`MAX_LINE_BYTES`].
     Oversize(u64),
     /// A connection's reader hit EOF or an error.
@@ -223,7 +225,7 @@ fn accept_loop(listener: TcpListener, tx: Sender<Msg>, stop: Arc<AtomicBool>) {
             loop {
                 match read_line_capped(&mut reader) {
                     Ok(Some(line)) => {
-                        if tx.send(Msg::Line(conn, line)).is_err() {
+                        if tx.send(Msg::Line(conn, line, Instant::now())).is_err() {
                             return;
                         }
                     }
@@ -276,7 +278,7 @@ struct Touched {
     sid: u64,
     /// Server-assigned request id.
     req: u64,
-    /// When the request was accepted on the core thread.
+    /// When the request's line was read off its connection.
     accepted: Instant,
 }
 
@@ -425,7 +427,7 @@ impl Core {
                     self.drop_session(sid);
                 }
             }
-            Msg::Line(conn, line) => self.handle_line(conn, &line),
+            Msg::Line(conn, line, read_at) => self.handle_line(conn, &line, read_at),
             Msg::Oversize(conn) => {
                 self.error(
                     conn,
@@ -452,7 +454,7 @@ impl Core {
         self.registry.close(sid);
     }
 
-    fn handle_line(&mut self, conn: u64, line: &str) {
+    fn handle_line(&mut self, conn: u64, line: &str, read_at: Instant) {
         let frame = match ClientFrame::parse(line) {
             Ok(f) => f,
             Err(message) => {
@@ -465,7 +467,7 @@ impl Core {
                 Ok(sid) => {
                     self.owner.insert(sid, conn);
                     self.stats.sessions_opened += 1;
-                    self.accept_request(conn, sid);
+                    self.accept_request(conn, sid, read_at);
                 }
                 Err(e) => self.error(conn, None, None, "open", e.to_string()),
             },
@@ -533,7 +535,7 @@ impl Core {
                     }
                 }
                 match self.registry.answer(session, choice) {
-                    Ok(()) => self.accept_request(conn, session),
+                    Ok(()) => self.accept_request(conn, session, read_at),
                     Err(e) => self.error(conn, Some(session), req, "no_pending", e.to_string()),
                 }
             }
@@ -546,14 +548,14 @@ impl Core {
     }
 
     /// Assigns a request id and queues the session for this batch's pump.
-    fn accept_request(&mut self, conn: u64, sid: u64) {
+    fn accept_request(&mut self, conn: u64, sid: u64, read_at: Instant) {
         let req = self.next_req;
         self.next_req += 1;
         self.touched.push(Touched {
             conn,
             sid,
             req,
-            accepted: Instant::now(),
+            accepted: read_at,
         });
     }
 

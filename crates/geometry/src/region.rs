@@ -7,7 +7,7 @@
 //! vertex enumeration on top of this representation (see [`crate::polytope`]).
 
 use crate::hyperplane::Halfspace;
-use crate::lp::{Basis, LpBuilder, LpError, LpOutcome, Rel};
+use crate::lp::{Basis, LpBuilder, LpError, LpOutcome, LpSolution, Rel};
 use crate::rectangle::Rectangle;
 use crate::sphere::Sphere;
 use isrl_linalg::vector;
@@ -15,22 +15,51 @@ use isrl_linalg::vector;
 /// Margin below which a strict-feasibility LP answer counts as "empty".
 const STRICT_TOL: f64 = 1e-9;
 
-/// Carried warm-start bases for a region's recurring LPs.
+/// Least ball-certified margin that answers a cut check without its LPs:
+/// far enough above [`STRICT_TOL`] that solver round-off in the ball
+/// cannot flip the verdict.
+const CUT_CERT_MARGIN: f64 = 1e-6;
+
+/// Carried warm-start state for a region's recurring LPs.
 ///
 /// AA re-solves the same family of LPs round after round — the inner
 /// sphere, the 2d rectangle extents, and the strict-feasibility margin —
 /// over a region that only ever *gains* one half-space per round. Each LP
 /// keeps its own slot here, so its final simplex [`Basis`] seeds the next
-/// solve of the *same* LP via [`crate::lp::solve_warm`]. The cache is a
-/// pure accelerator: a stale or mismatched basis is repaired or discarded
-/// by the warm solver, never trusted, so results are identical with or
-/// without it (the differential test suites assert exactly this).
+/// solve of the *same* LP via [`crate::lp::solve_warm`]. A stale or
+/// mismatched basis is repaired or discarded by the warm solver, never
+/// trusted.
+///
+/// The cache also carries two certificates that answer an LP without
+/// solving it (DESIGN.md §10): an extent's last optimizer, reused while
+/// every half-space appended since its solve still admits it, and the
+/// inscribed ball, which at the half-space count it was solved at proves
+/// that a hyperplane through its middle cuts the region. Both are keyed
+/// by half-space count, so one cache serves one append-only region.
 #[derive(Debug, Clone, Default)]
 pub struct RegionLpCache {
     sphere: Option<Basis>,
+    /// The inner sphere last solved through this cache, with the
+    /// half-space count it was solved at.
+    ball: Option<(usize, Sphere)>,
     strict: Option<Basis>,
-    rect_lo: Vec<Option<Basis>>,
-    rect_hi: Vec<Option<Basis>>,
+    rect_lo: Vec<ExtentSlot>,
+    rect_hi: Vec<ExtentSlot>,
+}
+
+/// One extent LP's warm state: its basis and its last proven optimum.
+#[derive(Debug, Clone, Default)]
+struct ExtentSlot {
+    basis: Option<Basis>,
+    optimum: Option<RecordedOptimum>,
+}
+
+/// An `Optimal` extent solve: the solution and the half-space count it
+/// was solved at.
+#[derive(Debug, Clone)]
+struct RecordedOptimum {
+    sol: LpSolution,
+    at: usize,
 }
 
 impl RegionLpCache {
@@ -39,7 +68,8 @@ impl RegionLpCache {
         Self::default()
     }
 
-    /// Drops every carried basis (the next solves run cold again).
+    /// Drops every carried basis and certificate (the next solves run
+    /// cold again).
     pub fn clear(&mut self) {
         *self = Self::default();
     }
@@ -48,8 +78,15 @@ impl RegionLpCache {
     pub fn is_primed(&self) -> bool {
         self.sphere.is_some()
             || self.strict.is_some()
-            || self.rect_lo.iter().any(Option::is_some)
-            || self.rect_hi.iter().any(Option::is_some)
+            || self.rect_lo.iter().any(|s| s.basis.is_some())
+            || self.rect_hi.iter().any(|s| s.basis.is_some())
+    }
+
+    fn ensure_extent_slots(&mut self, d: usize) {
+        if self.rect_lo.len() < d {
+            self.rect_lo.resize_with(d, ExtentSlot::default);
+            self.rect_hi.resize_with(d, ExtentSlot::default);
+        }
     }
 }
 
@@ -59,6 +96,29 @@ fn solve_slot(b: LpBuilder, slot: Option<&mut Option<Basis>>) -> Result<LpOutcom
         Some(s) => b.solve_with(s),
         None => b.solve(),
     }
+}
+
+/// A lower bound on both strict-margin LPs of `h` (the `h⁺` and `h⁻`
+/// sides of [`Region::is_cut_by`]) from a ball inscribed in the region.
+///
+/// The ball lives in the simplex plane `Σu = 1`, so distances are measured
+/// in that plane: with `n̂ = n/‖n‖`, the in-plane direction of steepest
+/// ascent of `n̂·u` has slope `w = ‖n̂ − mean(n̂)·1‖`. Moving `ρ` from the
+/// center `c` along it (or against it) keeps every learned margin and
+/// every coordinate at least `r − ρ` and moves `n̂·u` from `s = n̂·c` by
+/// `±ρ·w`; balancing the two at `ρ = (r ∓ s)/(1 + w)` gives
+/// `(r·w ± s)/(1 + w)` per side, whose minimum is returned.
+fn ball_cut_margin(ball: &Sphere, h: &Halfspace) -> f64 {
+    let norm = vector::norm(h.normal());
+    let mean = vector::sum(h.normal()) / (norm * h.dim() as f64);
+    let w = h
+        .normal()
+        .iter()
+        .map(|&x| (x / norm - mean).powi(2))
+        .sum::<f64>()
+        .sqrt();
+    let s = h.eval(ball.center()) / norm;
+    (ball.radius() * w - s.abs()) / (1.0 + w)
 }
 
 /// A utility range: the intersection of the standard simplex
@@ -243,11 +303,24 @@ impl Region {
                 .is_some_and(|m| m > STRICT_TOL)
     }
 
-    /// [`Region::is_cut_by`] through a warm-start cache: both orientation
-    /// LPs share the margin slot — they differ from each other (and from
-    /// the previous candidate's LPs) by one flipped tail row, which is
-    /// exactly the edit the basis-repair path absorbs in a pivot or two.
+    /// [`Region::is_cut_by`] through a warm-start cache.
+    ///
+    /// When the cache holds the inner sphere of this region (solved by
+    /// [`Region::inner_sphere_with`] at the current half-space count) and
+    /// the hyperplane passes far enough inside it, both margins are
+    /// certified positive and no LP runs (`lp.cert.cut_hits`). The
+    /// certificate only ever answers `true`. Otherwise both orientation
+    /// LPs run and share the margin slot — they differ from each other
+    /// (and from the previous candidate's LPs) by one flipped tail row,
+    /// which is exactly the edit the basis-repair path absorbs in a pivot
+    /// or two.
     pub fn is_cut_by_with(&self, h: &Halfspace, cache: &mut RegionLpCache) -> bool {
+        if let Some((at, ball)) = &cache.ball {
+            if *at == self.len() && ball_cut_margin(ball, h) > CUT_CERT_MARGIN {
+                isrl_obs::add("lp.cert.cut_hits", 1);
+                return true;
+            }
+        }
         let flipped = h.flipped();
         self.strict_margin_with(&[h], cache)
             .is_some_and(|m| m > STRICT_TOL)
@@ -270,9 +343,12 @@ impl Region {
     }
 
     /// [`Region::inner_sphere`] through a warm-start cache: the sphere LP
-    /// keeps its own basis slot across rounds.
+    /// keeps its own basis slot across rounds, and the ball is recorded as
+    /// the cut certificate of [`Region::is_cut_by_with`].
     pub fn inner_sphere_with(&self, cache: &mut RegionLpCache) -> Option<Sphere> {
-        self.inner_sphere_impl(Some(&mut cache.sphere))
+        let sphere = self.inner_sphere_impl(Some(&mut cache.sphere));
+        cache.ball = sphere.clone().map(|s| (self.len(), s));
+        sphere
     }
 
     fn inner_sphere_impl(&self, slot: Option<&mut Option<Basis>>) -> Option<Sphere> {
@@ -336,7 +412,10 @@ impl Region {
     }
 
     /// [`Region::outer_rectangle`] through a warm-start cache: each of the
-    /// 2d extent LPs keeps its own basis slot across rounds.
+    /// 2d extent LPs keeps its own basis slot across rounds, and an extent
+    /// whose last optimizer satisfies every half-space appended since is
+    /// reused without an LP (`lp.cert.extent_hits`): that optimizer is
+    /// still feasible and the region only shrank, so it is still optimal.
     pub fn outer_rectangle_with(&self, cache: &mut RegionLpCache) -> Option<Rectangle> {
         self.outer_rectangle_impl(Some(cache))
     }
@@ -345,10 +424,7 @@ impl Region {
         let _lp = isrl_obs::span("lp");
         let d = self.dim;
         if let Some(c) = cache.as_deref_mut() {
-            if c.rect_lo.len() < d {
-                c.rect_lo.resize(d, None);
-                c.rect_hi.resize(d, None);
-            }
+            c.ensure_extent_slots(d);
         }
         let mut lo = vec![0.0; d];
         let mut hi = vec![0.0; d];
@@ -361,7 +437,7 @@ impl Region {
             let mut obj = vec![0.0; d];
             obj[i] = 1.0;
             let slot = cache.as_deref_mut().map(|c| &mut c.rect_lo[i]);
-            lo[i] = match solve_slot(self.base_lp(&obj, false), slot) {
+            lo[i] = match self.extent_lp(&obj, false, slot) {
                 Ok(LpOutcome::Optimal(s)) => s.objective.max(0.0),
                 // Capped minimization: the incumbent only bounds the true
                 // minimum from above, so it cannot shrink the box.
@@ -370,7 +446,7 @@ impl Region {
                 Err(LpError::ShapeMismatch) => unreachable!("extent LP is well-formed"),
             };
             let slot = cache.as_deref_mut().map(|c| &mut c.rect_hi[i]);
-            hi[i] = match solve_slot(self.base_lp(&obj, true), slot) {
+            hi[i] = match self.extent_lp(&obj, true, slot) {
                 Ok(LpOutcome::Optimal(s)) => s.objective.min(1.0),
                 Ok(LpOutcome::IterationCapped(_)) | Err(LpError::IterationLimit) => 1.0,
                 Ok(_) => return None,
@@ -378,6 +454,37 @@ impl Region {
             };
         }
         Some(Rectangle::new(lo, hi))
+    }
+
+    /// One extent LP, answered from `slot`'s recorded optimum when every
+    /// half-space appended since its solve still admits the optimizer.
+    /// An `Optimal` solve refreshes the record; any other outcome leaves
+    /// it as it was.
+    fn extent_lp(
+        &self,
+        obj: &[f64],
+        maximize: bool,
+        slot: Option<&mut ExtentSlot>,
+    ) -> Result<LpOutcome, LpError> {
+        let Some(slot) = slot else {
+            return self.base_lp(obj, maximize).solve();
+        };
+        if let Some(rec) = &mut slot.optimum {
+            let appended = self.halfspaces.get(rec.at..);
+            if appended.is_some_and(|hs| hs.iter().all(|h| h.eval(&rec.sol.x) >= 0.0)) {
+                rec.at = self.len();
+                isrl_obs::add("lp.cert.extent_hits", 1);
+                return Ok(LpOutcome::Optimal(rec.sol.clone()));
+            }
+        }
+        let out = self.base_lp(obj, maximize).solve_with(&mut slot.basis);
+        if let Ok(LpOutcome::Optimal(sol)) = &out {
+            slot.optimum = Some(RecordedOptimum {
+                sol: sol.clone(),
+                at: self.len(),
+            });
+        }
+        out
     }
 
     /// True extreme points of the region, one per coordinate: the argmax
@@ -395,7 +502,9 @@ impl Region {
 
     /// [`Region::axis_extreme_points`] through a warm-start cache, sharing
     /// the `rect_hi` basis slots with the outer-rectangle extent LPs (they
-    /// are the same programs).
+    /// are the same programs). The extent certificates are neither read nor
+    /// written: these callers want an optimizer, and optimizers need not be
+    /// unique.
     pub fn axis_extreme_points_with(&self, cache: &mut RegionLpCache) -> Option<Vec<Vec<f64>>> {
         self.axis_extreme_points_impl(Some(cache))
     }
@@ -407,16 +516,13 @@ impl Region {
         let _lp = isrl_obs::span("lp");
         let d = self.dim;
         if let Some(c) = cache.as_deref_mut() {
-            if c.rect_hi.len() < d {
-                c.rect_lo.resize(d, None);
-                c.rect_hi.resize(d, None);
-            }
+            c.ensure_extent_slots(d);
         }
         let mut out = Vec::with_capacity(d);
         for i in 0..d {
             let mut obj = vec![0.0; d];
             obj[i] = 1.0;
-            let slot = cache.as_deref_mut().map(|c| &mut c.rect_hi[i]);
+            let slot = cache.as_deref_mut().map(|c| &mut c.rect_hi[i].basis);
             match solve_slot(self.base_lp(&obj, true), slot) {
                 Ok(LpOutcome::Optimal(s)) => out.push(s.x),
                 Ok(LpOutcome::IterationCapped(_)) | Err(LpError::IterationLimit) => continue,

@@ -1,11 +1,16 @@
 //! Property-based tests on the core invariants, spanning crates.
 
-use isrl_core::regret::regret_ratio;
+use isrl_core::aa::{AaAgent, AaConfig};
+use isrl_core::interaction::{InteractiveAlgorithm, TraceMode};
+use isrl_core::regret::{regret_ratio, regret_ratio_of_index};
+use isrl_core::user::SimulatedUser;
 use isrl_data::{skyline, Dataset};
 use isrl_geometry::hull::dominates;
 use isrl_geometry::lp::{LpBuilder, Rel};
 use isrl_geometry::{Halfspace, Polytope, Region};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Strategy: a point in (0, 1]^d.
 fn point(d: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -172,4 +177,59 @@ proptest! {
             }
         }
     }
+}
+
+/// Lemma 9 as a property over seeds: an untrained AA agent on a random
+/// dataset (d in 2..=6, at most 40 points) and a random user either ends
+/// untruncated with regret at most d²ε, or is truncated — a dead end or
+/// the round cap, which the lemma does not cover. Runs as a plain seed
+/// loop (`PROPTEST_CASES` cases) so it can also assert, across all cases,
+/// that both LP certificates fired: the property covers certified rounds.
+#[test]
+fn aa_untruncated_sessions_meet_the_d2_eps_bound() {
+    isrl_obs::set_enabled(true);
+    let extent_before = isrl_obs::counter_value("lp.cert.extent_hits");
+    let cut_before = isrl_obs::counter_value("lp.cert.cut_hits");
+    let cases = ProptestConfig::with_cases(64).from_env().cases;
+    let mut untruncated = 0usize;
+    for seed in 0..u64::from(cases) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let d = rng.gen_range(2..=6);
+        let n = rng.gen_range(2..=40);
+        let points: Vec<Vec<f64>> = (0..n)
+            .map(|_| (0..d).map(|_| rng.gen_range(0.01..=1.0)).collect())
+            .collect();
+        let data = Dataset::from_points(points, d);
+        let mut truth: Vec<f64> = (0..d).map(|_| rng.gen_range(0.01..1.0)).collect();
+        let total: f64 = truth.iter().sum();
+        truth.iter_mut().for_each(|t| *t /= total);
+        let eps = rng.gen_range(0.05..0.3);
+
+        let mut agent = AaAgent::new(d, AaConfig::paper_default().with_seed(seed));
+        let mut user = SimulatedUser::new(truth.clone());
+        let out = agent.run(&data, &mut user, eps, TraceMode::Off);
+        if out.truncated {
+            continue;
+        }
+        untruncated += 1;
+        let regret = regret_ratio_of_index(&data, out.point_index, &truth);
+        let bound = (d * d) as f64 * eps;
+        assert!(
+            regret <= bound + 1e-9,
+            "seed {seed}: d {d}, n {n}, eps {eps}: regret {regret} exceeds d²ε = {bound} \
+             after {} rounds",
+            out.rounds
+        );
+    }
+    assert!(
+        untruncated > 0,
+        "every one of {cases} sessions was truncated"
+    );
+    let extent_hits = isrl_obs::counter_value("lp.cert.extent_hits") - extent_before;
+    let cut_hits = isrl_obs::counter_value("lp.cert.cut_hits") - cut_before;
+    assert!(
+        extent_hits > 0,
+        "no extent certificate fired in {cases} sessions"
+    );
+    assert!(cut_hits > 0, "no cut certificate fired in {cases} sessions");
 }
