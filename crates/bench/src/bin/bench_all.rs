@@ -442,8 +442,9 @@ fn lp_warm() -> Vec<Table> {
     }
 
     // Warm-path telemetry over one sweep: how often the carried basis
-    // survives vs falls back to the cold path, and how many LPs the
-    // certificates answered without a solve.
+    // survives vs falls back to the cold path, how many LPs the
+    // certificates answered without a solve, and how many extents the
+    // family solved on its shared tableau.
     isrl_obs::set_enabled(true);
     isrl_obs::reset();
     for d in dims {
@@ -460,6 +461,7 @@ fn lp_warm() -> Vec<Table> {
         "lp.warm.refactor_pivots",
         "lp.cert.extent_hits",
         "lp.cert.cut_hits",
+        "lp.family.solves",
     ];
     let values = names.map(|name| {
         snap.counters

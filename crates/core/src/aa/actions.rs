@@ -78,6 +78,10 @@ pub fn candidate_pairs<R: Rng + ?Sized>(
     }
     let normalized = |a: usize, b: usize| if a < b { (a, b) } else { (b, a) };
 
+    // Everything before the LP loop — the top-K pass, pair assembly and
+    // ranking — is timed as `pairs`; the span closes before any LP runs.
+    let pairs_span = isrl_obs::span("pairs");
+
     // Top-K tuples by utility w.r.t. the center: one linear pass over the
     // point buffer for all scores, then an O(n) selection — versus the old
     // comparator that recomputed `d`-dot products per comparison.
@@ -129,6 +133,8 @@ pub fn candidate_pairs<R: Rng + ?Sized>(
             scored.swap(i, rng.gen_range(0..=i));
         }
     }
+
+    drop(pairs_span);
 
     // Pool pre-filter, then LP validation (Lemma 8's non-degeneracy
     // condition) in order, under a per-round LP budget.

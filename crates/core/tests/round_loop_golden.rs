@@ -239,7 +239,7 @@ fn aa_d4_matches_golden() {
     let blob = save_aa(&agent);
     let got = capture(&mut agent, &data, eps, &blob);
     let want = Golden {
-        checkpoint_hash: 6371708874163032220,
+        checkpoint_hash: 10101130538810772453,
         users: vec![
             run(
                 &[

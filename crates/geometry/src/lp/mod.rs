@@ -14,7 +14,7 @@ mod warm;
 
 pub use builder::LpBuilder;
 pub use simplex::solve;
-pub use warm::solve_warm;
+pub use warm::{solve_family, solve_warm};
 
 /// An opaque simplex basis, returned by [`solve`]/[`solve_warm`] and fed
 /// back into [`solve_warm`] to hot-start a related problem.
@@ -97,6 +97,27 @@ pub struct Problem {
     pub constraints: Vec<Constraint>,
     /// `free[j]` marks variable `j` as unrestricted in sign.
     pub free: Vec<bool>,
+}
+
+/// One member of an LP family solved by [`solve_family`]: an objective
+/// over the family's shared constraint set.
+#[derive(Debug, Clone)]
+pub struct Objective {
+    /// Objective coefficients, one per decision variable.
+    pub coeffs: Vec<f64>,
+    /// `true` to maximize, `false` to minimize.
+    pub maximize: bool,
+}
+
+impl Objective {
+    /// `p` with this objective in place of its own.
+    pub(crate) fn apply(&self, p: &Problem) -> Problem {
+        Problem {
+            objective: self.coeffs.clone(),
+            maximize: self.maximize,
+            ..p.clone()
+        }
+    }
 }
 
 /// An optimal LP solution.

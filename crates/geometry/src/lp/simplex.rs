@@ -41,8 +41,6 @@ pub(super) struct Standard {
     pub slack_of_row: Vec<Option<usize>>,
     /// Owning row of each slack column (indexed by `col − n_split`).
     pub row_of_slack: Vec<usize>,
-    /// Minimization-oriented cost over the split columns.
-    pub cost_split: Vec<f64>,
 }
 
 impl Standard {
@@ -54,6 +52,20 @@ impl Standard {
     /// Number of constraint rows.
     pub fn m(&self) -> usize {
         self.rows.len()
+    }
+
+    /// Minimization-oriented phase-2 cost of `objective` over the split
+    /// and slack columns (slacks cost nothing).
+    pub fn cost(&self, objective: &[f64], maximize: bool) -> Vec<f64> {
+        let sign = if maximize { -1.0 } else { 1.0 };
+        let mut c = vec![0.0; self.width()];
+        for (j, &v) in objective.iter().enumerate() {
+            c[j] = sign * v;
+            if let Some(neg) = self.neg_col[j] {
+                c[neg] = -sign * v;
+            }
+        }
+        c
     }
 }
 
@@ -96,16 +108,6 @@ pub(super) fn standardize(p: &Problem) -> Result<Standard, LpError> {
             }
         }
         row
-    };
-
-    // Orient as minimization.
-    let sign = if p.maximize { -1.0 } else { 1.0 };
-    let cost_split: Vec<f64> = {
-        let mut c = expand(&p.objective);
-        for v in &mut c {
-            *v *= sign;
-        }
-        c
     };
 
     // Standard form: rows `a·x (+ slack) = b`, b ≥ 0.
@@ -170,7 +172,6 @@ pub(super) fn standardize(p: &Problem) -> Result<Standard, LpError> {
         rels,
         slack_of_row,
         row_of_slack,
-        cost_split,
     })
 }
 
@@ -180,7 +181,6 @@ pub(super) fn standardize(p: &Problem) -> Result<Standard, LpError> {
 pub fn solve(p: &Problem) -> Result<(LpOutcome, Option<Basis>), LpError> {
     let sf = standardize(p)?;
     let m = sf.m();
-    let n_split = sf.n_split;
     let real = sf.width();
 
     // Artificial columns: Ge and Eq rows need one each.
@@ -216,8 +216,7 @@ pub fn solve(p: &Problem) -> Result<(LpOutcome, Option<Basis>), LpError> {
         }
         let (end, iters) = run_simplex(&mut tab, &mut basis, &phase1_cost, total);
         isrl_obs::add("lp.phase1_iters", iters);
-        isrl_obs::add("lp.pivots", iters);
-        isrl_obs::sketch_record("lp.pivots", iters as f64);
+        record_pivots(iters);
         match end {
             SimplexEnd::Optimal => {}
             SimplexEnd::Unbounded => {
@@ -251,17 +250,12 @@ pub fn solve(p: &Problem) -> Result<(LpOutcome, Option<Basis>), LpError> {
         }
     }
 
-    // Phase 2 on the real columns.
-    let mut phase2_cost = vec![0.0; total];
-    phase2_cost[..n_split].copy_from_slice(&sf.cost_split);
-    // Forbid artificials from re-entering by giving them a prohibitive cost.
-    for c in &mut phase2_cost[real..] {
-        *c = 1e30;
-    }
+    // Phase 2 on the real columns. Artificials are forbidden from
+    // re-entering by a prohibitive cost.
+    let mut phase2_cost = sf.cost(&p.objective, p.maximize);
+    phase2_cost.resize(total, 1e30);
     let (end, iters) = run_simplex(&mut tab, &mut basis, &phase2_cost, real);
-    isrl_obs::add("lp.phase2_iters", iters);
-    isrl_obs::add("lp.pivots", iters);
-    isrl_obs::sketch_record("lp.pivots", iters as f64);
+    record_phase2(iters);
     let capped = match end {
         SimplexEnd::Optimal => false,
         SimplexEnd::Unbounded => return Ok((LpOutcome::Unbounded, None)),
@@ -274,7 +268,7 @@ pub fn solve(p: &Problem) -> Result<(LpOutcome, Option<Basis>), LpError> {
         }
     };
 
-    let sol = read_solution(p, &sf, &tab, &basis);
+    let sol = read_solution(&p.objective, &sf, &tab, &basis);
     let warm = extract_basis(p, &sf, &basis);
     Ok(if capped {
         (LpOutcome::IterationCapped(sol), Some(warm))
@@ -283,9 +277,23 @@ pub fn solve(p: &Problem) -> Result<(LpOutcome, Option<Basis>), LpError> {
     })
 }
 
-/// Reads the original-space solution out of a final tableau.
+/// Counts one simplex run's pivots: the `lp.pivots` total and one
+/// `lp.pivots` sketch sample.
+fn record_pivots(iters: u64) {
+    isrl_obs::add("lp.pivots", iters);
+    isrl_obs::sketch_record("lp.pivots", iters as f64);
+}
+
+/// Counts one phase-2 run (cold, warm or one family objective).
+pub(super) fn record_phase2(iters: u64) {
+    isrl_obs::add("lp.phase2_iters", iters);
+    record_pivots(iters);
+}
+
+/// Reads the original-space solution out of a final tableau, with its
+/// value under `objective`.
 pub(super) fn read_solution(
-    p: &Problem,
+    objective: &[f64],
     sf: &Standard,
     tab: &[Vec<f64>],
     basis: &[usize],
@@ -301,7 +309,7 @@ pub(super) fn read_solution(
     for j in 0..sf.n {
         x[j] = x_split[j] - sf.neg_col[j].map_or(0.0, |c| x_split[c]);
     }
-    let objective: f64 = p.objective.iter().zip(&x).map(|(c, v)| c * v).sum();
+    let objective: f64 = objective.iter().zip(&x).map(|(c, v)| c * v).sum();
     LpSolution { x, objective }
 }
 
@@ -339,6 +347,12 @@ pub(super) enum SimplexEnd {
 /// `0..enter_limit` (columns at or past the limit never enter the basis —
 /// used to keep artificials out in phase 2). Returns the end state plus
 /// the number of pivots performed.
+///
+/// The reduced-cost row is computed once and then updated by each pivot
+/// like any other tableau row, so choosing the entering column costs
+/// O(width) instead of O(m·width). Before declaring optimality the row is
+/// recomputed from scratch, and the run goes on if round-off had hidden
+/// an entering column.
 pub(super) fn run_simplex(
     tab: &mut [Vec<f64>],
     basis: &mut [usize],
@@ -352,31 +366,18 @@ pub(super) fn run_simplex(
     let total = tab[0].len() - 1;
     let max_iters = 200 * (m + total) + 1000;
     let bland_after = 3 * (m + total) + 50;
+    let mut in_basis = vec![false; total];
+    for &b in basis.iter() {
+        in_basis[b] = true;
+    }
+    let mut red = reduced_costs(tab, basis, cost, enter_limit);
 
     for iter in 0..max_iters {
-        // Reduced costs: r_j = c_j − c_B · B⁻¹ A_j, computed directly from
-        // the (already reduced) tableau: r_j = c_j − Σ_i c_{basis[i]} tab[i][j].
         let use_bland = iter > bland_after;
-        let mut entering: Option<usize> = None;
-        let mut best_red = -1e-7; // entering threshold
-        for j in 0..enter_limit {
-            if basis.contains(&j) {
-                continue;
-            }
-            let mut red = cost[j];
-            for i in 0..m {
-                let cb = cost[basis[i]];
-                if cb != 0.0 {
-                    red -= cb * tab[i][j];
-                }
-            }
-            if red < best_red {
-                entering = Some(j);
-                if use_bland {
-                    break; // Bland: first improving index
-                }
-                best_red = red;
-            }
+        let mut entering = entering_column(&red, &in_basis, use_bland);
+        if entering.is_none() {
+            red = reduced_costs(tab, basis, cost, enter_limit);
+            entering = entering_column(&red, &in_basis, use_bland);
         }
         let Some(e) = entering else {
             return (SimplexEnd::Optimal, iter as u64);
@@ -400,9 +401,53 @@ pub(super) fn run_simplex(
         let Some(l) = leave else {
             return (SimplexEnd::Unbounded, iter as u64);
         };
+        in_basis[basis[l]] = false;
         pivot(tab, basis, l, e);
+        in_basis[e] = true;
+        // Eliminate column e from the reduced-cost row with the
+        // normalized pivot row.
+        let re = red[e];
+        for (r, a) in red.iter_mut().zip(&tab[l]) {
+            *r -= re * a;
+        }
+        red[e] = 0.0; // exact
     }
     (SimplexEnd::Capped, max_iters as u64)
+}
+
+/// Reduced costs `r_j = c_j − Σ_i c_{basis[i]} tab[i][j]` of the columns
+/// `0..limit`, read from the (already reduced) tableau.
+fn reduced_costs(tab: &[Vec<f64>], basis: &[usize], cost: &[f64], limit: usize) -> Vec<f64> {
+    let mut red = cost[..limit].to_vec();
+    for (row, &b) in tab.iter().zip(basis) {
+        let cb = cost[b];
+        if cb != 0.0 {
+            for (r, a) in red.iter_mut().zip(row) {
+                *r -= cb * a;
+            }
+        }
+    }
+    red
+}
+
+/// Entering threshold: a reduced cost must fall below this to enter.
+const ENTER_TOL: f64 = -1e-7;
+
+/// The entering column: the most negative reduced cost (Dantzig), or the
+/// first one below the threshold (Bland). `None` means optimal.
+fn entering_column(red: &[f64], in_basis: &[bool], use_bland: bool) -> Option<usize> {
+    let mut entering: Option<usize> = None;
+    let mut best_red = ENTER_TOL;
+    for (j, &r) in red.iter().enumerate() {
+        if !in_basis[j] && r < best_red {
+            entering = Some(j);
+            if use_bland {
+                break; // Bland: first improving index
+            }
+            best_red = r;
+        }
+    }
+    entering
 }
 
 /// Gauss–Jordan pivot on `tab[row][col]`.
@@ -433,6 +478,93 @@ pub(super) fn pivot(tab: &mut [Vec<f64>], basis: &mut [usize], row: usize, col: 
 #[cfg(test)]
 mod tests {
     use super::super::{LpBuilder, LpOutcome, Rel};
+
+    /// Brute-force optimum of `max c·x` over `{x ≥ 0, A x ≤ b}`: every
+    /// vertex is the solution of `n` tight constraints, so enumerate each
+    /// `n`-subset of the rows and the axes, keep the feasible solutions
+    /// and take the best objective.
+    fn brute_force_max(c: &[f64], rows: &[(Vec<f64>, f64)]) -> Option<f64> {
+        let n = c.len();
+        let mut all: Vec<(Vec<f64>, f64)> = rows.to_vec();
+        for j in 0..n {
+            let mut e = vec![0.0; n];
+            e[j] = -1.0;
+            all.push((e, 0.0));
+        }
+        let dot = |a: &[f64], x: &[f64]| a.iter().zip(x).map(|(p, q)| p * q).sum::<f64>();
+        let mut best: Option<f64> = None;
+        let mut pick: Vec<usize> = (0..n).collect();
+        loop {
+            let a = isrl_linalg::Matrix::from_rows(
+                &pick.iter().map(|&i| all[i].0.clone()).collect::<Vec<_>>(),
+            );
+            let b = pick.iter().map(|&i| all[i].1).collect();
+            if let Ok(x) = isrl_linalg::solve_linear_system(a, b) {
+                if all.iter().all(|(a, b)| dot(a, &x) <= b + 1e-7) {
+                    let v = dot(c, &x);
+                    best = Some(best.map_or(v, |b: f64| b.max(v)));
+                }
+            }
+            // Next n-subset in lexicographic order.
+            let Some(k) = (0..n).rev().find(|&k| pick[k] < all.len() - n + k) else {
+                return best;
+            };
+            pick[k] += 1;
+            for j in k + 1..n {
+                pick[j] = pick[j - 1] + 1;
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_reduced_costs_reach_the_bruteforce_optimum() {
+        use super::{entering_column, reduced_costs, run_simplex, standardize, SimplexEnd};
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        for case in 0..300 {
+            let n = rng.gen_range(2..=3);
+            let c: Vec<f64> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            // Positive rows with positive rhs: bounded, and the slack
+            // basis is feasible, so phase 2 runs straight from it.
+            let rows: Vec<(Vec<f64>, f64)> = (0..rng.gen_range(1..=6))
+                .map(|_| {
+                    let a = (0..n).map(|_| rng.gen_range(0.1..2.0)).collect();
+                    (a, rng.gen_range(0.5..4.0))
+                })
+                .collect();
+            let mut b = LpBuilder::maximize(&c);
+            for (a, rhs) in &rows {
+                b = b.constraint(a, Rel::Le, *rhs);
+            }
+            let p = b.build();
+            let sf = standardize(&p).unwrap();
+            let mut tab: Vec<Vec<f64>> = sf
+                .rows
+                .iter()
+                .zip(&sf.rhs)
+                .map(|(r, &b)| r.iter().copied().chain([b]).collect())
+                .collect();
+            let mut basis: Vec<usize> = sf.slack_of_row.iter().map(|s| s.unwrap()).collect();
+            let cost = sf.cost(&p.objective, p.maximize);
+            let (end, _) = run_simplex(&mut tab, &mut basis, &cost, sf.width());
+            assert!(matches!(end, SimplexEnd::Optimal), "case {case}");
+
+            let mut in_basis = vec![false; sf.width()];
+            basis.iter().for_each(|&b| in_basis[b] = true);
+            let fresh = reduced_costs(&tab, &basis, &cost, sf.width());
+            assert_eq!(
+                entering_column(&fresh, &in_basis, false),
+                None,
+                "case {case}: a recomputed reduced cost still enters"
+            );
+            let got = super::read_solution(&p.objective, &sf, &tab, &basis).objective;
+            let want = brute_force_max(&c, &rows).expect("the origin is feasible");
+            assert!(
+                (got - want).abs() < 1e-7,
+                "case {case}: simplex {got} vs brute force {want}"
+            );
+        }
+    }
 
     #[test]
     fn maximizes_simple_2d() {

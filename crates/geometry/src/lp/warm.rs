@@ -28,12 +28,16 @@
 //! accelerator and never affects correctness. Telemetry: `lp.warm.attempts`,
 //! `lp.warm.hits`, `lp.warm.fallbacks`, `lp.warm.refactor_pivots`,
 //! `lp.warm.repair_pivots` (see DESIGN.md §10).
+//!
+//! [`solve_family`] shares steps 1 and 2 among LPs that differ only in
+//! the objective — AA's 2d rectangle extents — and runs step 3 once per
+//! objective on the one repaired tableau.
 
 use super::simplex::{
-    extract_basis, pivot, read_solution, run_simplex, standardize, SimplexEnd, Standard, FEAS_TOL,
-    PIVOT_TOL,
+    extract_basis, pivot, read_solution, record_phase2, run_simplex, standardize, SimplexEnd,
+    Standard, FEAS_TOL, PIVOT_TOL,
 };
-use super::{Basis, BasisCol, LpError, LpOutcome, Problem};
+use super::{Basis, BasisCol, LpError, LpOutcome, Objective, Problem};
 
 /// Coefficients smaller than this are too ill-conditioned to crash on.
 const CRASH_TOL: f64 = 1e-9;
@@ -68,6 +72,41 @@ pub fn solve_warm(p: &Problem, warm: &Basis) -> Result<(LpOutcome, Option<Basis>
 
 /// The warm pipeline proper; `None` means "fall back to the cold path".
 fn try_warm(p: &Problem, sf: &Standard, warm: &Basis) -> Option<(LpOutcome, Option<Basis>)> {
+    let cost = sf.cost(&p.objective, p.maximize);
+    let (mut tab, mut basis) = crash_and_repair(sf, warm, &cost)?;
+
+    // Phase 2 from the repaired feasible basis. No artificials exist, so
+    // every column may enter.
+    let (end, iters) = run_simplex(&mut tab, &mut basis, &cost, sf.width());
+    record_phase2(iters);
+    let capped = match end {
+        SimplexEnd::Optimal => false,
+        SimplexEnd::Unbounded => return Some((LpOutcome::Unbounded, None)),
+        SimplexEnd::Capped => {
+            isrl_obs::add("lp.cap_hits", 1);
+            true
+        }
+    };
+
+    let sol = read_solution(&p.objective, sf, &tab, &basis);
+    let next = extract_basis(p, sf, &basis);
+    Some(if capped {
+        (LpOutcome::IterationCapped(sol), Some(next))
+    } else {
+        (LpOutcome::Optimal(sol), Some(next))
+    })
+}
+
+/// Steps 1 and 2 of the warm pipeline: crashes `warm`'s columns into a
+/// fresh tableau of `sf` and repairs primal feasibility, with `cost`
+/// steering the repair's dual ratio test. Returns the feasible tableau and
+/// its basis; `None` means "fall back to the cold path". Counts its pivots
+/// under `lp.warm.refactor_pivots` and `lp.warm.repair_pivots`.
+fn crash_and_repair(
+    sf: &Standard,
+    warm: &Basis,
+    cost: &[f64],
+) -> Option<(Vec<Vec<f64>>, Vec<usize>)> {
     let m = sf.m();
     let width = sf.width();
     let n_split = sf.n_split;
@@ -157,8 +196,6 @@ fn try_warm(p: &Problem, sf: &Standard, warm: &Basis) -> Option<(LpOutcome, Opti
     isrl_obs::add("lp.warm.refactor_pivots", refactor);
 
     // Dual-style primal feasibility repair.
-    let mut cost = vec![0.0; width];
-    cost[..n_split].copy_from_slice(&sf.cost_split);
     let repair_cap = 10 * (m + width) + 50;
     let mut repair = 0u64;
     loop {
@@ -212,34 +249,122 @@ fn try_warm(p: &Problem, sf: &Standard, warm: &Basis) -> Option<(LpOutcome, Opti
         repair += 1;
     }
     isrl_obs::add("lp.warm.repair_pivots", repair);
+    Some((tab, basis))
+}
 
-    // Phase 2 from the repaired feasible basis. No artificials exist, so
-    // every column may enter.
-    let (end, iters) = run_simplex(&mut tab, &mut basis, &cost, width);
-    isrl_obs::add("lp.phase2_iters", iters);
-    isrl_obs::add("lp.pivots", iters);
-    isrl_obs::sketch_record("lp.pivots", iters as f64);
-    let capped = match end {
-        SimplexEnd::Optimal => false,
-        SimplexEnd::Unbounded => return Some((LpOutcome::Unbounded, None)),
-        SimplexEnd::Capped => {
-            isrl_obs::add("lp.cap_hits", 1);
-            true
+/// Solves a family of LPs that share `p`'s constraint rows and free
+/// pattern and differ only in the objective; `p`'s own objective is
+/// ignored. Returns one outcome per entry of `objectives`, in order, plus
+/// the final basis to carry into the next call.
+///
+/// One feasible basis serves every member, so the family pays for one
+/// crash and repair from `warm` and then runs primal phase 2 for each
+/// objective in turn, starting from the previous objective's optimum on
+/// the same tableau. Without a usable `warm` basis, one cold solve of the
+/// first objective supplies it. Any crash or repair failure, unbounded
+/// member or capped phase 2 discards the family's answers and solves
+/// every objective cold on its own (`lp.family.fallbacks`), so every
+/// non-`Optimal` outcome is the cold path's verdict. The tableau is
+/// dropped on return.
+///
+/// Telemetry: `lp.family.solves` counts objectives answered on a shared
+/// tableau, one `lp.pivots` sketch sample each; crash and repair pivots
+/// count under `lp.warm.refactor_pivots` / `lp.warm.repair_pivots`, and
+/// family calls never touch `lp.warm.attempts`.
+pub fn solve_family(
+    p: &Problem,
+    warm: Option<&Basis>,
+    objectives: &[Objective],
+) -> Result<(Vec<LpOutcome>, Option<Basis>), LpError> {
+    let sf = standardize(p)?;
+    if objectives.iter().any(|o| o.coeffs.len() != p.n_vars) {
+        return Err(LpError::ShapeMismatch);
+    }
+    let Some(first) = objectives.first() else {
+        return Ok((Vec::new(), warm.cloned()));
+    };
+    let mut outs = Vec::with_capacity(objectives.len());
+    let cold_seed;
+    let seed = match warm.filter(|b| b.n_vars == p.n_vars && b.free == p.free) {
+        Some(b) => b,
+        None => {
+            let (out, basis) = super::solve(&first.apply(p))?;
+            let (LpOutcome::Optimal(_), Some(basis)) = (&out, basis) else {
+                return solve_each_cold(p, objectives, vec![out]);
+            };
+            outs.push(out);
+            cold_seed = basis;
+            &cold_seed
         }
     };
+    let rest = &objectives[outs.len()..];
+    if rest.is_empty() {
+        return Ok((outs, Some(seed.clone())));
+    }
+    match try_family(p, &sf, seed, rest) {
+        Some((solved, next)) => {
+            isrl_obs::add("lp.family.solves", solved.len() as u64);
+            outs.extend(solved);
+            Ok((outs, Some(next)))
+        }
+        None => {
+            isrl_obs::add("lp.family.fallbacks", 1);
+            solve_each_cold(p, objectives, outs)
+        }
+    }
+}
 
-    let sol = read_solution(p, sf, &tab, &basis);
-    let next = extract_basis(p, sf, &basis);
-    Some(if capped {
-        (LpOutcome::IterationCapped(sol), Some(next))
-    } else {
-        (LpOutcome::Optimal(sol), Some(next))
-    })
+/// The family proper; `None` means "fall back to the cold path".
+fn try_family(
+    p: &Problem,
+    sf: &Standard,
+    seed: &Basis,
+    objectives: &[Objective],
+) -> Option<(Vec<LpOutcome>, Basis)> {
+    let first = &objectives[0];
+    let (mut tab, mut basis) = crash_and_repair(sf, seed, &sf.cost(&first.coeffs, first.maximize))?;
+    let mut outs = Vec::with_capacity(objectives.len());
+    for o in objectives {
+        let cost = sf.cost(&o.coeffs, o.maximize);
+        let (end, iters) = run_simplex(&mut tab, &mut basis, &cost, sf.width());
+        record_phase2(iters);
+        if !matches!(end, SimplexEnd::Optimal) {
+            return None;
+        }
+        outs.push(LpOutcome::Optimal(read_solution(
+            &o.coeffs, sf, &tab, &basis,
+        )));
+    }
+    Some((outs, extract_basis(p, sf, &basis)))
+}
+
+/// The per-objective cold path for the members of a family not yet in
+/// `outs`, carrying the last basis any of them yields.
+fn solve_each_cold(
+    p: &Problem,
+    objectives: &[Objective],
+    mut outs: Vec<LpOutcome>,
+) -> Result<(Vec<LpOutcome>, Option<Basis>), LpError> {
+    let mut last = None;
+    for o in &objectives[outs.len()..] {
+        // Phase 1 never reads the objective, so one infeasible member
+        // makes every member infeasible.
+        if matches!(outs.last(), Some(LpOutcome::Infeasible)) {
+            outs.push(LpOutcome::Infeasible);
+            continue;
+        }
+        let (out, basis) = super::solve(&o.apply(p))?;
+        last = basis.or(last);
+        outs.push(out);
+    }
+    Ok((outs, last))
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::{solve, solve_warm, Constraint, LpOutcome, Problem, Rel};
+    use super::super::{
+        solve, solve_family, solve_warm, Constraint, LpOutcome, Objective, Problem, Rel,
+    };
 
     fn base_problem() -> Problem {
         // max x + y over the unit square.
@@ -347,5 +472,65 @@ mod tests {
         assert!(basis.is_empty());
         let (out, _) = solve_warm(&p, &basis).unwrap();
         assert!((out.optimal().unwrap().objective).abs() < 1e-12);
+    }
+
+    #[test]
+    fn family_outcomes_match_cold_solves() {
+        // Random simplex-shaped families, some infeasible: every member's
+        // status and value must equal its own cold solve, whether the
+        // family starts cold, from its own carried basis or from a
+        // foreign one.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut carried = None;
+        for case in 0..200 {
+            let n = rng.gen_range(2..=5);
+            let mut constraints = vec![Constraint {
+                coeffs: vec![1.0; n],
+                rel: Rel::Eq,
+                rhs: 1.0,
+            }];
+            for _ in 0..rng.gen_range(0..=6) {
+                constraints.push(Constraint {
+                    coeffs: (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+                    rel: Rel::Ge,
+                    rhs: rng.gen_range(-0.2..0.3),
+                });
+            }
+            let p = Problem {
+                n_vars: n,
+                maximize: false,
+                objective: vec![0.0; n],
+                constraints,
+                free: vec![false; n],
+            };
+            let objectives: Vec<Objective> = (0..rng.gen_range(1..=6))
+                .map(|_| Objective {
+                    coeffs: (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+                    maximize: rng.gen_bool(0.5),
+                })
+                .collect();
+            let warm = if rng.gen_bool(0.3) {
+                None
+            } else {
+                carried.take()
+            };
+            let (outs, next) = solve_family(&p, warm.as_ref(), &objectives).unwrap();
+            assert_eq!(outs.len(), objectives.len());
+            for (k, (o, got)) in objectives.iter().zip(&outs).enumerate() {
+                let (want, _) = solve(&o.apply(&p)).unwrap();
+                match (got, &want) {
+                    (LpOutcome::Optimal(g), LpOutcome::Optimal(w)) => assert!(
+                        (g.objective - w.objective).abs() < 1e-9,
+                        "case {case} member {k}: family {} vs cold {}",
+                        g.objective,
+                        w.objective
+                    ),
+                    (LpOutcome::Infeasible, LpOutcome::Infeasible) => {}
+                    _ => panic!("case {case} member {k}: family {got:?} vs cold {want:?}"),
+                }
+            }
+            carried = next.or(carried);
+        }
     }
 }

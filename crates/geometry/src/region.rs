@@ -7,7 +7,7 @@
 //! vertex enumeration on top of this representation (see [`crate::polytope`]).
 
 use crate::hyperplane::Halfspace;
-use crate::lp::{Basis, LpBuilder, LpError, LpOutcome, LpSolution, Rel};
+use crate::lp::{self, Basis, LpBuilder, LpError, LpOutcome, LpSolution, Objective, Rel};
 use crate::rectangle::Rectangle;
 use crate::sphere::Sphere;
 use isrl_linalg::vector;
@@ -24,11 +24,13 @@ const CUT_CERT_MARGIN: f64 = 1e-6;
 ///
 /// AA re-solves the same family of LPs round after round — the inner
 /// sphere, the 2d rectangle extents, and the strict-feasibility margin —
-/// over a region that only ever *gains* one half-space per round. Each LP
-/// keeps its own slot here, so its final simplex [`Basis`] seeds the next
-/// solve of the *same* LP via [`crate::lp::solve_warm`]. A stale or
-/// mismatched basis is repaired or discarded by the warm solver, never
-/// trusted.
+/// over a region that only ever *gains* one half-space per round. The
+/// sphere and the margin LP each keep their own slot here, so a final
+/// simplex [`Basis`] seeds the next solve of the *same* LP via
+/// [`crate::lp::solve_warm`]. The 2d extents share one constraint set, so
+/// they carry one basis between them and are solved together by
+/// [`crate::lp::solve_family`]. A stale or mismatched basis is repaired
+/// or discarded by the warm solver, never trusted.
 ///
 /// The cache also carries two certificates that answer an LP without
 /// solving it (DESIGN.md §10): an extent's last optimizer, reused while
@@ -43,15 +45,13 @@ pub struct RegionLpCache {
     /// half-space count it was solved at.
     ball: Option<(usize, Sphere)>,
     strict: Option<Basis>,
-    rect_lo: Vec<ExtentSlot>,
-    rect_hi: Vec<ExtentSlot>,
-}
-
-/// One extent LP's warm state: its basis and its last proven optimum.
-#[derive(Debug, Clone, Default)]
-struct ExtentSlot {
-    basis: Option<Basis>,
-    optimum: Option<RecordedOptimum>,
+    /// The extent family's carried basis.
+    family: Option<Basis>,
+    /// Each extent's last proven optimum; slot `2i` is `min u_i` and slot
+    /// `2i + 1` is `max u_i`.
+    extents: Vec<Option<RecordedOptimum>>,
+    /// Per-axis basis slots of [`Region::axis_extreme_points_with`].
+    anchors: Vec<Option<Basis>>,
 }
 
 /// An `Optimal` extent solve: the solution and the half-space count it
@@ -78,15 +78,18 @@ impl RegionLpCache {
     pub fn is_primed(&self) -> bool {
         self.sphere.is_some()
             || self.strict.is_some()
-            || self.rect_lo.iter().any(|s| s.basis.is_some())
-            || self.rect_hi.iter().any(|s| s.basis.is_some())
+            || self.family.is_some()
+            || self.anchors.iter().any(Option::is_some)
     }
 
-    fn ensure_extent_slots(&mut self, d: usize) {
-        if self.rect_lo.len() < d {
-            self.rect_lo.resize_with(d, ExtentSlot::default);
-            self.rect_hi.resize_with(d, ExtentSlot::default);
-        }
+    /// The optimizer and value last recorded for the `min u_axis`
+    /// (`maximize = false`) or `max u_axis` extent, if any.
+    pub fn extent_record(&self, axis: usize, maximize: bool) -> Option<(&[f64], f64)> {
+        let rec = self
+            .extents
+            .get(2 * axis + usize::from(maximize))?
+            .as_ref()?;
+        Some((&rec.sol.x, rec.sol.objective))
     }
 }
 
@@ -119,6 +122,45 @@ fn ball_cut_margin(ball: &Sphere, h: &Halfspace) -> f64 {
         .sqrt();
     let s = h.eval(ball.center()) / norm;
     (ball.radius() * w - s.abs()) / (1.0 + w)
+}
+
+/// The unit objective `u_i` in dimension `d`.
+fn axis(d: usize, i: usize) -> Vec<f64> {
+    let mut e = vec![0.0; d];
+    e[i] = 1.0;
+    e
+}
+
+/// An extent optimum clamped to the simplex's own bounds `[0, 1]`.
+fn clamp_extent(v: f64, maximize: bool) -> f64 {
+    if maximize {
+        v.min(1.0)
+    } else {
+        v.max(0.0)
+    }
+}
+
+/// The rectangle bound an extent LP's outcome proves; `None` when the
+/// region is empty. A truncated extent LP (phase-2 or phase-1 cap) falls
+/// back to the trivial simplex bound for its coordinate: the rectangle
+/// stays a true enclosure of `R`, just looser, and the solver counts the
+/// cap. (A capped incumbent bounds the optimum from the wrong side, so it
+/// cannot shrink the box.)
+fn extent_bound(out: Result<LpOutcome, LpError>, maximize: bool) -> Option<f64> {
+    match out {
+        Ok(LpOutcome::Optimal(s)) => Some(clamp_extent(s.objective, maximize)),
+        Ok(LpOutcome::IterationCapped(_)) | Err(LpError::IterationLimit) => {
+            Some(if maximize { 1.0 } else { 0.0 })
+        }
+        Ok(_) => None,
+        Err(LpError::ShapeMismatch) => unreachable!("extent LP is well-formed"),
+    }
+}
+
+/// The rectangle of interleaved extent bounds `[lo_0, hi_0, lo_1, …]`.
+fn rectangle_of(bounds: &[f64]) -> Rectangle {
+    let (lo, hi) = bounds.chunks_exact(2).map(|b| (b[0], b[1])).unzip();
+    Rectangle::new(lo, hi)
 }
 
 /// A utility range: the intersection of the standard simplex
@@ -404,87 +446,82 @@ impl Region {
 
     /// The outer rectangle of the region (§IV-C state, part 2): the smallest
     /// axis-aligned box `[e_min, e_max]` containing `R`, found by `2d` LPs
-    /// (minimize and maximize `u[i]` over `R` for each `i`).
+    /// (minimize and maximize `u[i]` over `R` for each `i`), each solved
+    /// on its own.
     ///
     /// Returns `None` when the region is empty.
     pub fn outer_rectangle(&self) -> Option<Rectangle> {
-        self.outer_rectangle_impl(None)
+        let _lp = isrl_obs::span("lp");
+        let bounds = (0..2 * self.dim)
+            .map(|k| {
+                let maximize = k % 2 == 1;
+                extent_bound(
+                    self.base_lp(&axis(self.dim, k / 2), maximize).solve(),
+                    maximize,
+                )
+            })
+            .collect::<Option<Vec<f64>>>()?;
+        Some(rectangle_of(&bounds))
     }
 
-    /// [`Region::outer_rectangle`] through a warm-start cache: each of the
-    /// 2d extent LPs keeps its own basis slot across rounds, and an extent
+    /// [`Region::outer_rectangle`] through a warm-start cache. An extent
     /// whose last optimizer satisfies every half-space appended since is
     /// reused without an LP (`lp.cert.extent_hits`): that optimizer is
     /// still feasible and the region only shrank, so it is still optimal.
+    /// The remaining extents, in `min u_0, max u_0, min u_1, …` order, are
+    /// solved as one family on a shared tableau from the cache's carried
+    /// family basis, and their optima recorded.
     pub fn outer_rectangle_with(&self, cache: &mut RegionLpCache) -> Option<Rectangle> {
-        self.outer_rectangle_impl(Some(cache))
-    }
-
-    fn outer_rectangle_impl(&self, mut cache: Option<&mut RegionLpCache>) -> Option<Rectangle> {
         let _lp = isrl_obs::span("lp");
         let d = self.dim;
-        if let Some(c) = cache.as_deref_mut() {
-            c.ensure_extent_slots(d);
-        }
-        let mut lo = vec![0.0; d];
-        let mut hi = vec![0.0; d];
-        // A truncated extent LP (phase-2 cap or phase-1 cap) used to flow
-        // through `.ok()?.optimal()?` and read as "empty region" — silently
-        // terminating the interaction. Instead fall back to the trivial
-        // simplex facet bound for that coordinate: the rectangle stays a
-        // true enclosure of `R`, just looser, and the solver counts the cap.
-        for i in 0..d {
-            let mut obj = vec![0.0; d];
-            obj[i] = 1.0;
-            let slot = cache.as_deref_mut().map(|c| &mut c.rect_lo[i]);
-            lo[i] = match self.extent_lp(&obj, false, slot) {
-                Ok(LpOutcome::Optimal(s)) => s.objective.max(0.0),
-                // Capped minimization: the incumbent only bounds the true
-                // minimum from above, so it cannot shrink the box.
-                Ok(LpOutcome::IterationCapped(_)) | Err(LpError::IterationLimit) => 0.0,
-                Ok(_) => return None,
-                Err(LpError::ShapeMismatch) => unreachable!("extent LP is well-formed"),
-            };
-            let slot = cache.as_deref_mut().map(|c| &mut c.rect_hi[i]);
-            hi[i] = match self.extent_lp(&obj, true, slot) {
-                Ok(LpOutcome::Optimal(s)) => s.objective.min(1.0),
-                Ok(LpOutcome::IterationCapped(_)) | Err(LpError::IterationLimit) => 1.0,
-                Ok(_) => return None,
-                Err(LpError::ShapeMismatch) => unreachable!("extent LP is well-formed"),
-            };
-        }
-        Some(Rectangle::new(lo, hi))
-    }
-
-    /// One extent LP, answered from `slot`'s recorded optimum when every
-    /// half-space appended since its solve still admits the optimizer.
-    /// An `Optimal` solve refreshes the record; any other outcome leaves
-    /// it as it was.
-    fn extent_lp(
-        &self,
-        obj: &[f64],
-        maximize: bool,
-        slot: Option<&mut ExtentSlot>,
-    ) -> Result<LpOutcome, LpError> {
-        let Some(slot) = slot else {
-            return self.base_lp(obj, maximize).solve();
-        };
-        if let Some(rec) = &mut slot.optimum {
-            let appended = self.halfspaces.get(rec.at..);
-            if appended.is_some_and(|hs| hs.iter().all(|h| h.eval(&rec.sol.x) >= 0.0)) {
-                rec.at = self.len();
-                isrl_obs::add("lp.cert.extent_hits", 1);
-                return Ok(LpOutcome::Optimal(rec.sol.clone()));
+        cache.extents.resize_with(2 * d, Option::default);
+        let mut bounds = vec![0.0; 2 * d];
+        let mut pending = Vec::new();
+        for (k, slot) in cache.extents.iter_mut().enumerate() {
+            match slot {
+                Some(rec) if self.admits_since(&rec.sol.x, rec.at) => {
+                    rec.at = self.len();
+                    isrl_obs::add("lp.cert.extent_hits", 1);
+                    bounds[k] = clamp_extent(rec.sol.objective, k % 2 == 1);
+                }
+                _ => pending.push(k),
             }
         }
-        let out = self.base_lp(obj, maximize).solve_with(&mut slot.basis);
-        if let Ok(LpOutcome::Optimal(sol)) = &out {
-            slot.optimum = Some(RecordedOptimum {
-                sol: sol.clone(),
-                at: self.len(),
-            });
+        if pending.is_empty() {
+            return Some(rectangle_of(&bounds));
         }
-        out
+        let objectives: Vec<Objective> = pending
+            .iter()
+            .map(|&k| Objective {
+                coeffs: axis(d, k / 2),
+                maximize: k % 2 == 1,
+            })
+            .collect();
+        let p = self.base_lp(&vec![0.0; d], false).build();
+        let outs = match lp::solve_family(&p, cache.family.take().as_ref(), &objectives) {
+            Ok((outs, next)) => {
+                cache.family = next;
+                outs.into_iter().map(Ok).collect()
+            }
+            Err(e) => vec![Err(e); pending.len()],
+        };
+        for (k, out) in pending.into_iter().zip(outs) {
+            if let Ok(LpOutcome::Optimal(sol)) = &out {
+                cache.extents[k] = Some(RecordedOptimum {
+                    sol: sol.clone(),
+                    at: self.len(),
+                });
+            }
+            bounds[k] = extent_bound(out, k % 2 == 1)?;
+        }
+        Some(rectangle_of(&bounds))
+    }
+
+    /// `true` iff every half-space appended after the first `at` admits `x`.
+    fn admits_since(&self, x: &[f64], at: usize) -> bool {
+        self.halfspaces
+            .get(at..)
+            .is_some_and(|hs| hs.iter().all(|h| h.eval(x) >= 0.0))
     }
 
     /// True extreme points of the region, one per coordinate: the argmax
@@ -500,11 +537,11 @@ impl Region {
         self.axis_extreme_points_impl(None)
     }
 
-    /// [`Region::axis_extreme_points`] through a warm-start cache, sharing
-    /// the `rect_hi` basis slots with the outer-rectangle extent LPs (they
-    /// are the same programs). The extent certificates are neither read nor
-    /// written: these callers want an optimizer, and optimizers need not be
-    /// unique.
+    /// [`Region::axis_extreme_points`] through a warm-start cache: each
+    /// axis keeps its own basis slot. The extent certificates and the
+    /// family basis are neither read nor written: these callers want an
+    /// optimizer, optimizers need not be unique, and a shared tableau can
+    /// land on a different optimizer of a degenerate LP.
     pub fn axis_extreme_points_with(&self, cache: &mut RegionLpCache) -> Option<Vec<Vec<f64>>> {
         self.axis_extreme_points_impl(Some(cache))
     }
@@ -516,14 +553,12 @@ impl Region {
         let _lp = isrl_obs::span("lp");
         let d = self.dim;
         if let Some(c) = cache.as_deref_mut() {
-            c.ensure_extent_slots(d);
+            c.anchors.resize_with(d, Option::default);
         }
         let mut out = Vec::with_capacity(d);
         for i in 0..d {
-            let mut obj = vec![0.0; d];
-            obj[i] = 1.0;
-            let slot = cache.as_deref_mut().map(|c| &mut c.rect_hi[i].basis);
-            match solve_slot(self.base_lp(&obj, true), slot) {
+            let slot = cache.as_deref_mut().map(|c| &mut c.anchors[i]);
+            match solve_slot(self.base_lp(&axis(d, i), true), slot) {
                 Ok(LpOutcome::Optimal(s)) => out.push(s.x),
                 Ok(LpOutcome::IterationCapped(_)) | Err(LpError::IterationLimit) => continue,
                 Ok(_) => return None,
