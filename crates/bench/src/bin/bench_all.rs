@@ -238,12 +238,13 @@ fn profiling_overhead() -> Table {
     let data = skyline(&generate(2_000, 4, Distribution::AntiCorrelated, 1));
     let users = sample_users(data.dim(), 4, 3);
     let mut ea = EaAgent::new(data.dim(), EaConfig::paper_default().with_seed(4));
-    isrl_obs::reset();
-    isrl_obs::set_enabled(true);
-    let cost = per_round(&mut ea, &data, &users, 0.1, TraceMode::Off);
-    isrl_obs::set_enabled(false);
+    let sink = isrl_obs::Sink::new();
+    sink.set_enabled(true);
+    let cost = isrl_obs::with_sink(&sink, || {
+        per_round(&mut ea, &data, &users, 0.1, TraceMode::Off)
+    });
     let mut jsonl = Vec::new();
-    isrl_obs::snapshot()
+    sink.snapshot()
         .write_jsonl(&mut jsonl)
         .expect("serializing the profile events");
     let spans: u64 = isrl_obs::profile::ProfileAccum::from_trace(
@@ -254,7 +255,6 @@ fn profiling_overhead() -> Table {
     .values()
     .map(|s| s.count)
     .sum();
-    isrl_obs::reset();
 
     let spans_per_round = spans as f64 / cost.rounds.max(1) as f64;
     let round_ms = cost.ms_per_round();
@@ -445,14 +445,15 @@ fn lp_warm() -> Vec<Table> {
     // survives vs falls back to the cold path, how many LPs the
     // certificates answered without a solve, and how many extents the
     // family solved on its shared tableau.
-    isrl_obs::set_enabled(true);
-    isrl_obs::reset();
-    for d in dims {
-        let (seq, probe_set) = cut_workload(d, cuts, probes, 1);
-        replay_warm(d, &seq, &probe_set);
-    }
-    let snap = isrl_obs::snapshot();
-    isrl_obs::set_enabled(false);
+    let sink = isrl_obs::Sink::new();
+    sink.set_enabled(true);
+    isrl_obs::with_sink(&sink, || {
+        for d in dims {
+            let (seq, probe_set) = cut_workload(d, cuts, probes, 1);
+            replay_warm(d, &seq, &probe_set);
+        }
+    });
+    let snap = sink.snapshot();
     let names = [
         "lp.warm.attempts",
         "lp.warm.hits",

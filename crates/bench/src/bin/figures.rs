@@ -537,8 +537,7 @@ fn main() {
     let cli = parse_cli();
     let mut snapshotter = None;
     if cli.trace_out.is_some() || cli.metrics_interval.is_some() {
-        isrl_obs::reset();
-        isrl_obs::set_enabled(true);
+        isrl_obs::current_sink().set_enabled(true);
         if let Some(secs) = cli.metrics_interval.filter(|&s| s > 0.0) {
             snapshotter = Some(isrl_obs::Snapshotter::start(
                 std::time::Duration::from_secs_f64(secs),
@@ -600,8 +599,9 @@ fn main() {
         s.stop();
     }
     if let Some(path) = &cli.trace_out {
-        isrl_obs::set_enabled(false);
-        let snap = isrl_obs::snapshot();
+        let sink = isrl_obs::current_sink();
+        sink.set_enabled(false);
+        let snap = sink.snapshot();
         match std::fs::File::create(path) {
             Ok(file) => {
                 let mut w = std::io::BufWriter::new(file);

@@ -217,20 +217,21 @@ fn worker_count(items: usize) -> usize {
 /// re-raises that panic.
 const POISONED: &str = "a sweep worker panicked";
 
-/// Runs `work` over `items` on a fixed pool of scoped workers. Each worker
-/// claims the next unclaimed item through a shared cursor, so items start
-/// in queue order whatever the pool size.
+/// Runs `work` over `items` on a fixed pool of scoped workers, each under
+/// the caller's telemetry sink. Each worker claims the next unclaimed item
+/// through a shared cursor, so items start in queue order whatever the
+/// pool size.
 fn drain<T: Copy + Sync>(items: &[T], work: impl Fn(T) + Sync) {
     // The cursor publishes no other data (`items` is shared read-only), so
     // `Relaxed` suffices: each index is claimed by exactly one worker.
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..worker_count(items.len()) {
-            scope.spawn(|| {
+            scope.spawn(isrl_obs::in_current_sink(|| {
                 while let Some(&item) = items.get(cursor.fetch_add(1, Ordering::Relaxed)) {
                     work(item);
                 }
-            });
+            }));
         }
     });
 }

@@ -221,6 +221,13 @@ fn main() {
             }
         }
     }
+    // The slow-span regression drill (DESIGN.md §13) is a setting of the
+    // default telemetry sink, read from the environment once here.
+    if let Ok(spec) = std::env::var("ISRL_SLOW_SPAN") {
+        if let Err(e) = isrl_obs::current_sink().set_slow_span(&spec) {
+            eprintln!("warning: ISRL_SLOW_SPAN ignored: {e}");
+        }
+    }
     let result = match command.as_str() {
         "generate" => commands::generate(&args),
         "train" => commands::train(&args),

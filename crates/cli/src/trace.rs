@@ -25,7 +25,7 @@ pub struct TraceOpts {
 }
 
 /// Reads `--trace-out` / `--metrics` / `--metrics-interval` and, if any is
-/// present, resets and enables the global telemetry sink. A positive
+/// present, enables the default telemetry sink. A positive
 /// `--metrics-interval` starts the periodic snapshotter (echoing one
 /// progress line per sample).
 pub fn begin(args: &Args) -> Result<TraceOpts, Box<dyn std::error::Error>> {
@@ -39,8 +39,7 @@ pub fn begin(args: &Args) -> Result<TraceOpts, Box<dyn std::error::Error>> {
         return Err(format!("--metrics-interval {interval} must be >= 0").into());
     }
     let snapshotter = if out.is_some() || metrics || interval > 0.0 {
-        isrl_obs::reset();
-        isrl_obs::set_enabled(true);
+        isrl_obs::current_sink().set_enabled(true);
         (interval > 0.0)
             .then(|| isrl_obs::Snapshotter::start(Duration::from_secs_f64(interval), true))
     } else {
@@ -65,9 +64,10 @@ pub fn finish(opts: TraceOpts) -> CmdResult {
     } else if opts.out.is_none() && !opts.metrics {
         return Ok(());
     }
-    isrl_obs::set_enabled(false);
-    let snap = isrl_obs::snapshot();
-    let dropped = isrl_obs::counter_value(isrl_obs::DROPPED_COUNTER);
+    let sink = isrl_obs::current_sink();
+    sink.set_enabled(false);
+    let snap = sink.snapshot();
+    let dropped = sink.counter_value(isrl_obs::DROPPED_COUNTER);
     if let Some(path) = &opts.out {
         let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
         snap.write_jsonl(&mut file)?;

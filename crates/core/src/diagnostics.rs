@@ -11,66 +11,25 @@
 //!   changed (late churn means the stopping condition, not the questioning,
 //!   is the bottleneck).
 //!
-//! Two volume backends. The default, [`VolumeMode::Geometric`], reads the
-//! outer-rectangle volume proxy the session's incrementally-maintained
-//! [`isrl_geometry::RegionGeometry`] already computed (recorded in
-//! [`crate::interaction::RoundTrace::volume_proxy`]); it is deterministic,
-//! costs nothing beyond the interaction itself, and keeps resolution at
-//! volume fractions far below what sampling can see. The pre-telemetry
-//! Monte-Carlo estimator remains available behind
-//! [`VolumeMode::MonteCarlo`] as a cross-check — it measures true
-//! simplex-relative volume, at O(n_samples · rounds²) cost and with noise
-//! floor ~1/n_samples.
+//! Volumes are the outer-rectangle volume proxy the session's
+//! incrementally-maintained [`isrl_geometry::RegionGeometry`] already
+//! computed (recorded in
+//! [`crate::interaction::RoundTrace::volume_proxy`]): deterministic, free
+//! beyond the interaction itself, and resolving volume fractions far below
+//! what sampling can see. Under this box measure a round's cut balance is
+//! its proxy decay — the fraction of the previous round's box volume the
+//! answer kept.
 
 use crate::interaction::InteractionOutcome;
-use isrl_geometry::{sampling, Region, RegionGeometry};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-/// How per-round region volumes are measured.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum VolumeMode {
-    /// Outer-rectangle volume proxy from the trace's cached geometry
-    /// (exact, deterministic, already paid for by the interaction). In this
-    /// mode `cut_balance` is the per-round proxy decay — the fraction of
-    /// the previous round's box volume the answer kept.
-    #[default]
-    Geometric,
-    /// Fresh Monte-Carlo estimation per round with the given sample count.
-    /// True simplex-relative volume, but noisy below ~1/n_samples and
-    /// O(rounds) half-space tests per sample.
-    MonteCarlo {
-        /// Samples per round for the volume and balance estimates.
-        n_samples: usize,
-    },
-}
-
-/// Configuration of [`analyze`].
-#[derive(Debug, Clone, Default)]
-pub struct DiagnosticsConfig {
-    /// Volume backend.
-    pub mode: VolumeMode,
-    /// RNG seed (Monte-Carlo mode only).
-    pub seed: u64,
-}
-
-impl DiagnosticsConfig {
-    /// The pre-telemetry behavior: Monte-Carlo volumes.
-    pub fn monte_carlo(n_samples: usize, seed: u64) -> Self {
-        Self {
-            mode: VolumeMode::MonteCarlo { n_samples },
-            seed,
-        }
-    }
-}
+use isrl_geometry::RegionGeometry;
 
 /// Per-round diagnostic row.
 #[derive(Debug, Clone)]
 pub struct RoundDiagnostic {
     /// 1-based round.
     pub round: usize,
-    /// Volume measure of the region *after* this round: the rectangle
-    /// proxy (geometric mode) or the Monte-Carlo simplex fraction.
+    /// Volume measure of the region *after* this round: its rectangle
+    /// proxy.
     pub volume_fraction: f64,
     /// Fraction of the pre-answer region kept by this round's answer
     /// (0.5 = the question halved the region).
@@ -93,15 +52,12 @@ pub struct DiagnosticReport {
 
 /// Analyzes a traced interaction. Returns `None` when the outcome carries
 /// no trace.
-pub fn analyze(outcome: &InteractionOutcome, cfg: &DiagnosticsConfig) -> Option<DiagnosticReport> {
+pub fn analyze(outcome: &InteractionOutcome) -> Option<DiagnosticReport> {
     if outcome.trace.is_empty() {
         return None;
     }
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let d = outcome.trace[0].region.dim();
-
-    // Volume measure before any answer is 1 by definition (both the unit
-    // box proxy of the full simplex and the Monte-Carlo fraction).
+    // Volume measure before any answer is 1 by definition: the unit box
+    // proxy of the full simplex.
     let mut prev_fraction = 1.0f64;
     let mut prev_best: Option<usize> = None;
     let mut rounds = Vec::with_capacity(outcome.trace.len());
@@ -109,23 +65,12 @@ pub fn analyze(outcome: &InteractionOutcome, cfg: &DiagnosticsConfig) -> Option<
     let mut churn = 0usize;
 
     for t in &outcome.trace {
-        let fraction = match cfg.mode {
-            VolumeMode::Geometric => geometric_volume(t),
-            VolumeMode::MonteCarlo { n_samples } => {
-                t.region.approx_volume_fraction(n_samples, &mut rng)
-            }
-        };
+        let fraction = geometric_volume(t);
+        // Proxy decay *is* the kept fraction under the box measure.
         let decay = if prev_fraction > 0.0 {
             (fraction / prev_fraction).min(1.0)
         } else {
             1.0
-        };
-        let balance = match cfg.mode {
-            // Proxy decay *is* the kept fraction under the box measure.
-            VolumeMode::Geometric => decay,
-            VolumeMode::MonteCarlo { n_samples } => {
-                mc_cut_balance(&t.region, n_samples, &mut rng, d)
-            }
         };
         let changed = prev_best.is_some_and(|b| b != t.best_index);
         if changed {
@@ -137,7 +82,7 @@ pub fn analyze(outcome: &InteractionOutcome, cfg: &DiagnosticsConfig) -> Option<
         rounds.push(RoundDiagnostic {
             round: t.round,
             volume_fraction: fraction,
-            cut_balance: balance,
+            cut_balance: decay,
             recommendation_changed: changed,
         });
     }
@@ -167,42 +112,13 @@ fn geometric_volume(t: &crate::interaction::RoundTrace) -> f64 {
         .unwrap_or(0.0)
 }
 
-/// Fraction of the region-before-the-last-answer kept by the last answer's
-/// half-space, estimated by sampling the before-region.
-fn mc_cut_balance(after: &Region, n_samples: usize, rng: &mut StdRng, d: usize) -> f64 {
-    let hs = after.halfspaces();
-    let Some((newest, before)) = hs.split_last() else {
-        return 1.0;
-    };
-    let mut kept = 0usize;
-    let mut inside = 0usize;
-    for _ in 0..n_samples * 4 {
-        if inside >= n_samples {
-            break;
-        }
-        let u = sampling::sample_simplex(d, rng);
-        if before.iter().all(|h| h.contains(&u, 0.0)) {
-            inside += 1;
-            if newest.contains(&u, 0.0) {
-                kept += 1;
-            }
-        }
-    }
-    if inside == 0 {
-        // The before-region is too small to sample; report a neutral value.
-        0.5
-    } else {
-        kept as f64 / inside as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::interaction::{InteractiveAlgorithm, RoundTrace, TraceMode};
     use crate::prelude::*;
     use isrl_data::Dataset;
-    use isrl_geometry::Halfspace;
+    use isrl_geometry::{Halfspace, Region};
     use std::time::Duration;
 
     fn traced_outcome() -> (Dataset, InteractionOutcome) {
@@ -225,7 +141,7 @@ mod tests {
     #[test]
     fn report_shapes_match_the_trace() {
         let (_, out) = traced_outcome();
-        let report = analyze(&out, &DiagnosticsConfig::default()).expect("trace present");
+        let report = analyze(&out).expect("trace present");
         assert_eq!(report.rounds.len(), out.trace.len());
         assert!(report.mean_decay > 0.0 && report.mean_decay <= 1.0 + 1e-9);
         assert!(report.churn <= out.rounds);
@@ -238,7 +154,7 @@ mod tests {
             out.trace.iter().all(|t| t.volume_proxy.is_some()),
             "AA records the proxy every traced round"
         );
-        let report = analyze(&out, &DiagnosticsConfig::default()).unwrap();
+        let report = analyze(&out).unwrap();
         for (r, t) in report.rounds.iter().zip(&out.trace) {
             assert_eq!(r.volume_fraction, t.volume_proxy.unwrap());
         }
@@ -247,8 +163,8 @@ mod tests {
     #[test]
     fn volume_fractions_are_monotone_non_increasing() {
         let (_, out) = traced_outcome();
-        // Geometric: exactly monotone (boxes nest under cuts).
-        let report = analyze(&out, &DiagnosticsConfig::default()).unwrap();
+        // Exactly monotone: boxes nest under cuts.
+        let report = analyze(&out).unwrap();
         for w in report.rounds.windows(2) {
             assert!(
                 w[1].volume_fraction <= w[0].volume_fraction + 1e-12,
@@ -257,33 +173,18 @@ mod tests {
                 w[1].volume_fraction
             );
         }
-        // Monte-Carlo: monotone up to sampling noise.
-        let report = analyze(&out, &DiagnosticsConfig::monte_carlo(3_000, 2)).unwrap();
-        for w in report.rounds.windows(2) {
-            assert!(
-                w[1].volume_fraction <= w[0].volume_fraction + 0.03,
-                "volume grew: {} -> {}",
-                w[0].volume_fraction,
-                w[1].volume_fraction
-            );
-        }
     }
 
     #[test]
-    fn cut_balances_are_probabilities_in_both_modes() {
+    fn cut_balances_are_probabilities() {
         let (_, out) = traced_outcome();
-        for cfg in [
-            DiagnosticsConfig::default(),
-            DiagnosticsConfig::monte_carlo(2_000, 3),
-        ] {
-            let report = analyze(&out, &cfg).unwrap();
-            for r in &report.rounds {
-                assert!(
-                    (0.0..=1.0).contains(&r.cut_balance),
-                    "balance {} under {cfg:?}",
-                    r.cut_balance
-                );
-            }
+        let report = analyze(&out).unwrap();
+        for r in &report.rounds {
+            assert!(
+                (0.0..=1.0).contains(&r.cut_balance),
+                "balance {}",
+                r.cut_balance
+            );
         }
     }
 
@@ -293,8 +194,7 @@ mod tests {
         let mut agent = AaAgent::new(2, AaConfig::paper_default().with_seed(4));
         let mut user = SimulatedUser::new(vec![0.5, 0.5]);
         let out = agent.run(&data, &mut user, 0.1, TraceMode::Off);
-        assert!(analyze(&out, &DiagnosticsConfig::default()).is_none());
-        assert!(analyze(&out, &DiagnosticsConfig::monte_carlo(100, 4)).is_none());
+        assert!(analyze(&out).is_none());
     }
 
     #[test]
@@ -308,7 +208,7 @@ mod tests {
             trace: Vec::new(),
             truncated: false,
         };
-        assert!(analyze(&out, &DiagnosticsConfig::default()).is_none());
+        assert!(analyze(&out).is_none());
     }
 
     #[test]
@@ -329,7 +229,7 @@ mod tests {
             trace: vec![t1, t2, t3],
             truncated: true,
         };
-        let report = analyze(&out, &DiagnosticsConfig::default()).expect("trace present");
+        let report = analyze(&out).expect("trace present");
         assert_eq!(report.rounds.len(), 3);
         for r in &report.rounds {
             assert!(r.volume_fraction.is_finite());
@@ -365,7 +265,7 @@ mod tests {
             out.trace.iter().all(|t| t.volume_proxy.is_some()),
             "sampled sessions record the cloud-bbox proxy every round"
         );
-        let report = analyze(&out, &DiagnosticsConfig::default()).expect("trace present");
+        let report = analyze(&out).expect("trace present");
         assert_eq!(report.rounds.len(), out.trace.len());
         for r in &report.rounds {
             assert!(r.volume_fraction.is_finite() && r.volume_fraction >= 0.0);
@@ -382,7 +282,7 @@ mod tests {
     fn good_questioners_decay_fast() {
         // AA's near-center cuts should average well below "no progress".
         let (_, out) = traced_outcome();
-        let report = analyze(&out, &DiagnosticsConfig::monte_carlo(3_000, 5)).unwrap();
+        let report = analyze(&out).unwrap();
         assert!(
             report.mean_decay < 0.9,
             "AA's questions should shrink the region: decay {}",

@@ -82,7 +82,7 @@ pub mod prelude {
         UtilityApproxConfig,
     };
     pub use crate::checkpoint::{load_aa, load_ea, save_aa, save_ea, CheckpointError};
-    pub use crate::diagnostics::{analyze, DiagnosticReport, DiagnosticsConfig, VolumeMode};
+    pub use crate::diagnostics::{analyze, DiagnosticReport};
     pub use crate::ea::{EaAgent, EaConfig};
     pub use crate::interaction::{
         InteractionOutcome, InteractiveAlgorithm, Question, RoundTrace, TraceMode,

@@ -149,22 +149,24 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
     let workers: Vec<_> = (0..concurrency)
         .map(|w| {
             let cfg = cfg.clone();
-            std::thread::spawn(move || -> Result<Vec<UserOutcome>, String> {
-                let stream = TcpStream::connect(&cfg.addr)
-                    .map_err(|e| format!("connect {}: {e}", cfg.addr))?;
-                stream
-                    .set_read_timeout(Some(Duration::from_secs(120)))
-                    .map_err(|e| format!("set_read_timeout: {e}"))?;
-                stream
-                    .set_nodelay(true)
-                    .map_err(|e| format!("set_nodelay: {e}"))?;
-                let mut writer = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
-                let mut reader = BufReader::new(stream);
-                (w..cfg.users)
-                    .step_by(concurrency)
-                    .map(|u| run_user(&cfg, u, &mut writer, &mut reader))
-                    .collect()
-            })
+            std::thread::spawn(isrl_obs::in_current_sink(
+                move || -> Result<Vec<UserOutcome>, String> {
+                    let stream = TcpStream::connect(&cfg.addr)
+                        .map_err(|e| format!("connect {}: {e}", cfg.addr))?;
+                    stream
+                        .set_read_timeout(Some(Duration::from_secs(120)))
+                        .map_err(|e| format!("set_read_timeout: {e}"))?;
+                    stream
+                        .set_nodelay(true)
+                        .map_err(|e| format!("set_nodelay: {e}"))?;
+                    let mut writer = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
+                    let mut reader = BufReader::new(stream);
+                    (w..cfg.users)
+                        .step_by(concurrency)
+                        .map(|u| run_user(&cfg, u, &mut writer, &mut reader))
+                        .collect()
+                },
+            ))
         })
         .collect();
 

@@ -162,7 +162,8 @@ impl ServerHandle {
 }
 
 /// Binds `cfg.addr` and spawns the reactor over the given dataset and
-/// policies. Returns once the listener is live.
+/// policies. Returns once the listener is live. Every server thread runs
+/// under the caller's current telemetry sink.
 pub fn spawn_server(
     data: Arc<Dataset>,
     policies: Vec<Arc<ServePolicy>>,
@@ -176,11 +177,15 @@ pub fn spawn_server(
     let accept = {
         let tx = tx.clone();
         let stop = Arc::clone(&stop);
-        std::thread::spawn(move || accept_loop(listener, tx, stop))
+        std::thread::spawn(isrl_obs::in_current_sink(move || {
+            accept_loop(listener, tx, stop)
+        }))
     };
     let core = {
         let stop = Arc::clone(&stop);
-        std::thread::spawn(move || core_loop(data, policies, cfg, rx, stop, addr))
+        std::thread::spawn(isrl_obs::in_current_sink(move || {
+            core_loop(data, policies, cfg, rx, stop, addr)
+        }))
     };
     Ok(ServerHandle {
         addr,
@@ -220,7 +225,7 @@ fn accept_loop(listener: TcpListener, tx: Sender<Msg>, stop: Arc<AtomicBool>) {
             return;
         }
         let tx = tx.clone();
-        std::thread::spawn(move || {
+        std::thread::spawn(isrl_obs::in_current_sink(move || {
             let mut reader = BufReader::new(stream);
             loop {
                 match read_line_capped(&mut reader) {
@@ -237,7 +242,7 @@ fn accept_loop(listener: TcpListener, tx: Sender<Msg>, stop: Arc<AtomicBool>) {
                 }
             }
             let _ = tx.send(Msg::Closed(conn));
-        });
+        }));
     }
 }
 

@@ -168,12 +168,6 @@ impl LpOutcome {
     pub fn is_optimal(&self) -> bool {
         matches!(self, LpOutcome::Optimal(_))
     }
-
-    /// `true` iff the solver gave up at the iteration cap with a feasible
-    /// but unproven incumbent.
-    pub fn is_capped(&self) -> bool {
-        matches!(self, LpOutcome::IterationCapped(_))
-    }
 }
 
 /// Error for a malformed problem (shape mismatches) or iteration blow-up.

@@ -458,16 +458,14 @@ pub(super) fn pivot(tab: &mut [Vec<f64>], basis: &mut [usize], row: usize, col: 
         *v *= inv;
     }
     tab[row][col] = 1.0; // exact
-    let pivot_row = tab[row].clone();
-    for (i, r) in tab.iter_mut().enumerate() {
-        if i == row {
-            continue;
-        }
+    let (above, rest) = tab.split_at_mut(row);
+    let (pivot_row, below) = rest.split_first_mut().expect("pivot row in range");
+    for r in above.iter_mut().chain(below) {
         let factor = r[col];
         if factor == 0.0 {
             continue;
         }
-        for (v, pv) in r.iter_mut().zip(&pivot_row) {
+        for (v, pv) in r.iter_mut().zip(pivot_row.iter()) {
             *v -= factor * pv;
         }
         r[col] = 0.0; // exact

@@ -573,11 +573,6 @@ impl Region {
         self.inner_sphere().map(|s| s.center().to_vec())
     }
 
-    /// [`Region::feasible_point`] through a warm-start cache.
-    pub fn feasible_point_with(&self, cache: &mut RegionLpCache) -> Option<Vec<f64>> {
-        self.inner_sphere_with(cache).map(|s| s.center().to_vec())
-    }
-
     /// Monte-Carlo estimate of the region's volume as a fraction of the
     /// whole utility simplex: the acceptance rate of `n_samples` uniform
     /// simplex samples against the half-space set.

@@ -145,15 +145,12 @@ fn check_chain(seed: u64) {
 
 #[test]
 fn certified_summaries_match_cold_along_cut_chains() {
-    isrl_obs::set_enabled(true);
-    let extent_before = isrl_obs::counter_value("lp.cert.extent_hits");
-    let cut_before = isrl_obs::counter_value("lp.cert.cut_hits");
+    let sink = isrl_obs::Sink::new();
+    sink.set_enabled(true);
     let cases = ProptestConfig::with_cases(64).from_env().cases;
-    for seed in 0..u64::from(cases) {
-        check_chain(seed);
-    }
-    let extent_hits = isrl_obs::counter_value("lp.cert.extent_hits") - extent_before;
-    let cut_hits = isrl_obs::counter_value("lp.cert.cut_hits") - cut_before;
+    isrl_obs::with_sink(&sink, || (0..u64::from(cases)).for_each(check_chain));
+    let extent_hits = sink.counter_value("lp.cert.extent_hits");
+    let cut_hits = sink.counter_value("lp.cert.cut_hits");
     assert!(
         extent_hits > 0,
         "no extent certificate fired in {cases} chains"

@@ -40,27 +40,36 @@ fn cut_through(rng: &mut StdRng, d: usize, witness: &[f64]) -> Halfspace {
     }
 }
 
+/// Family calls, LPs solved on a family tableau, and cold fallbacks.
+#[derive(Default)]
+struct Tally {
+    calls: u64,
+    solves: u64,
+    fallbacks: u64,
+}
+
 /// One chain: cuts appended one at a time; after each, the cached
 /// rectangle and its recorded optimizers are checked against the cold
-/// rectangle. Returns how many steps left an extent to the family.
-fn check_chain(seed: u64) -> u64 {
+/// rectangle. Each step records into its own sink, so its counters are
+/// that step's alone.
+fn check_chain(seed: u64, tally: &mut Tally) {
     let mut rng = StdRng::seed_from_u64(seed);
     let d = rng.gen_range(2..=8);
     let witness = interior_point(&mut rng, d);
     let mut region = Region::full(d);
     let mut cache = RegionLpCache::new();
-    let mut family_calls = 0;
     for step in 0..rng.gen_range(4..=18) {
         region.add(cut_through(&mut rng, d, &witness));
         let cold = region.outer_rectangle().expect("nonempty region");
-        let certified = isrl_obs::counter_value("lp.cert.extent_hits");
-        let cached = region
-            .outer_rectangle_with(&mut cache)
+        let sink = isrl_obs::Sink::new();
+        sink.set_enabled(true);
+        let cached = isrl_obs::with_sink(&sink, || region.outer_rectangle_with(&mut cache))
             .expect("nonempty region");
-        let certified = isrl_obs::counter_value("lp.cert.extent_hits") - certified;
-        if certified < 2 * d as u64 {
-            family_calls += 1;
+        if sink.counter_value("lp.cert.extent_hits") < 2 * d as u64 {
+            tally.calls += 1;
         }
+        tally.solves += sink.counter_value("lp.family.solves");
+        tally.fallbacks += sink.counter_value("lp.family.fallbacks");
         for i in 0..d {
             for (maximize, c, w) in [
                 (false, cold.min()[i], cached.min()[i]),
@@ -87,24 +96,23 @@ fn check_chain(seed: u64) -> u64 {
             }
         }
     }
-    family_calls
 }
 
 #[test]
 fn family_extents_match_cold_along_cut_chains() {
-    isrl_obs::set_enabled(true);
-    let solves_before = isrl_obs::counter_value("lp.family.solves");
-    let fallbacks_before = isrl_obs::counter_value("lp.family.fallbacks");
     let cases = ProptestConfig::with_cases(64).from_env().cases;
-    let calls: u64 = (0..u64::from(cases)).map(check_chain).sum();
-    let solves = isrl_obs::counter_value("lp.family.solves") - solves_before;
-    let fallbacks = isrl_obs::counter_value("lp.family.fallbacks") - fallbacks_before;
+    let mut t = Tally::default();
+    for seed in 0..u64::from(cases) {
+        check_chain(seed, &mut t);
+    }
     assert!(
-        solves > 0,
+        t.solves > 0,
         "no LP solved on a family tableau in {cases} chains"
     );
     assert!(
-        fallbacks * 100 < calls,
-        "{fallbacks} of {calls} family calls fell back to the cold path"
+        t.fallbacks * 100 < t.calls,
+        "{} of {} family calls fell back to the cold path",
+        t.fallbacks,
+        t.calls
     );
 }

@@ -32,15 +32,3 @@ pub use solve::{solve_linear_system, SolveError};
 /// Chosen so that after ~30 half-space intersections on the unit simplex the
 /// accumulated rounding error of vertex enumeration stays well below it.
 pub const EPS: f64 = 1e-9;
-
-/// Returns `true` if `a` and `b` are equal within [`EPS`] (absolute).
-#[inline]
-pub fn approx_eq(a: f64, b: f64) -> bool {
-    (a - b).abs() <= EPS
-}
-
-/// Returns `true` if `a` and `b` are equal within the given absolute tolerance.
-#[inline]
-pub fn approx_eq_tol(a: f64, b: f64, tol: f64) -> bool {
-    (a - b).abs() <= tol
-}

@@ -1,13 +1,11 @@
 //! Structured events and the JSONL buffer.
 //!
 //! An [`Event`] is a named bag of JSON fields stamped with milliseconds
-//! since the recorder epoch. [`emit`] appends to a global buffer (bounded:
-//! past [`EVENT_CAP`] events are counted in `obs.events.dropped` instead
-//! of stored — a warning counter, so `trace-validate` surfaces the loss);
-//! [`crate::snapshot`] drains the buffer for serialization.
-
-use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+//! since the current sink's epoch. [`crate::emit`] appends it to the sink's
+//! buffer (bounded: past [`EVENT_CAP`] events are counted in
+//! `obs.events.dropped` instead of stored — a warning counter, so
+//! `trace-validate` surfaces the loss); [`crate::snapshot`] drains the
+//! buffer for serialization.
 
 use crate::json::Json;
 
@@ -19,7 +17,8 @@ pub const EVENT_CAP: usize = 1 << 20;
 pub struct Event {
     /// Event kind (`"round"`, `"episode"`, `"sweep_item"`, …).
     pub name: &'static str,
-    /// Milliseconds since the recorder epoch (process start or last reset).
+    /// Milliseconds since the epoch (creation) of the sink current when the
+    /// event was built.
     pub t_ms: f64,
     /// Ordered fields.
     pub fields: Vec<(&'static str, Json)>,
@@ -31,7 +30,7 @@ impl Event {
     pub fn new(name: &'static str) -> Self {
         Self {
             name,
-            t_ms: since_epoch_ms(),
+            t_ms: crate::sink::with_current(crate::Sink::since_epoch_ms),
             fields: Vec::new(),
         }
     }
@@ -54,51 +53,7 @@ impl Event {
     }
 }
 
-fn epoch() -> &'static Mutex<Instant> {
-    static EPOCH: OnceLock<Mutex<Instant>> = OnceLock::new();
-    EPOCH.get_or_init(|| Mutex::new(Instant::now()))
-}
-
-fn since_epoch_ms() -> f64 {
-    epoch().lock().unwrap().elapsed().as_secs_f64() * 1e3
-}
-
-pub(crate) fn reset_epoch() {
-    *epoch().lock().unwrap() = Instant::now();
-}
-
-fn buffer() -> &'static Mutex<Vec<Event>> {
-    static BUF: OnceLock<Mutex<Vec<Event>>> = OnceLock::new();
-    BUF.get_or_init(Default::default)
-}
-
-/// Appends `e` to the event buffer when the sink is enabled. Dropped (and
-/// counted) past [`EVENT_CAP`].
-pub fn emit(e: Event) {
-    if !crate::enabled() {
-        return;
-    }
-    let mut buf = buffer().lock().unwrap();
-    if buf.len() >= EVENT_CAP {
-        drop(buf);
-        crate::add(DROPPED_COUNTER, 1);
-        return;
-    }
-    buf.push(e);
-}
-
 /// Name of the counter tracking events lost to the bounded buffer. Listed
 /// in [`crate::schema::WARNING_COUNTERS`]: a nonzero value means the trace
 /// is incomplete and `trace-validate` must say so.
 pub const DROPPED_COUNTER: &str = "obs.events.dropped";
-
-/// Number of events currently buffered (the snapshotter reports this so a
-/// trace shows how close a run came to the cap).
-pub(crate) fn buffered_len() -> usize {
-    buffer().lock().unwrap().len()
-}
-
-/// Removes and returns every buffered event.
-pub(crate) fn drain_events() -> Vec<Event> {
-    std::mem::take(&mut *buffer().lock().unwrap())
-}

@@ -1,25 +1,28 @@
 //! Telemetry substrate for the interactive-search workspace.
 //!
-//! Three primitives, all behind one global on/off switch:
+//! Three primitives, all recorded into one [`Sink`]:
 //!
 //! * **[`span`]** — hierarchical RAII wall-clock timers aggregated per
 //!   `/`-joined path, plus per-thread profile scopes that turn one episode
 //!   into a span tree (the per-round phase breakdown is its self times);
-//! * **[`counter`]/[`add`]** — named monotonic counters (LP pivots, cap
-//!   hits, sampler acceptance, scan blocks, …);
+//! * **[`add`]** — named monotonic counters (LP pivots, cap hits, sampler
+//!   acceptance, scan blocks, …), and [`gauge_set`] for last-value levels;
 //! * **[`sketch_record`]** — mergeable quantile sketches with bounded
 //!   relative error (round latency, DQN loss, LP pivots per solve).
 //!
-//! Structured [`Event`]s stream into a bounded buffer; [`snapshot`] drains
-//! it and freezes the aggregates, and the result serializes as JSONL (one
-//! event per line, one trailing `summary` line) or renders as a text table
-//! for `--metrics`. The schema is documented in DESIGN.md §9 and enforced
-//! by [`schema::validate_trace`].
+//! Structured [`Event`]s stream into the sink's bounded buffer;
+//! [`snapshot`] drains it and freezes the aggregates, and the result
+//! serializes as JSONL (one event per line, one trailing `summary` line) or
+//! renders as a text table for `--metrics`. The schema is documented in
+//! DESIGN.md §9 and enforced by [`schema::validate_trace`].
 //!
-//! The sink starts **disabled**; in that state every instrumentation call
-//! is a single relaxed atomic load (no clock reads, no locks, no
-//! allocation), which is what keeps the hot-path bench honest. Nothing in
-//! here depends on crates outside `std` — the workspace builds offline.
+//! Instrumentation writes to the calling thread's current sink: the one
+//! installed by [`with_sink`], or else the process default sink. Every sink
+//! starts **disabled**; in that state every instrumentation call is one
+//! thread-local read plus one relaxed atomic load (no clock reads, no
+//! locks, no allocation), which is what keeps the hot-path bench honest.
+//! Nothing in here depends on crates outside `std` — the workspace builds
+//! offline.
 
 pub mod flight;
 pub mod json;
@@ -28,51 +31,24 @@ pub mod quantile;
 pub mod report;
 pub mod schema;
 
-mod counter;
 mod event;
-mod gauge;
+mod sink;
 mod snapshotter;
 mod span;
 
-pub use counter::{add, counter, counter_value, Counter};
-pub use event::{emit, Event, DROPPED_COUNTER, EVENT_CAP};
+pub use event::{Event, DROPPED_COUNTER, EVENT_CAP};
 pub use flight::{FlightRecord, FlightRecorder};
-pub use gauge::{gauge_set, gauge_value};
 pub use json::Json;
-pub use quantile::{sketch_record, QuantileSketch, RollingSketch, SketchSummary};
+pub use quantile::{QuantileSketch, RollingSketch, SketchSummary};
+pub use sink::{
+    add, current_sink, emit, enabled, gauge_set, in_current_sink, sketch_record, snapshot,
+    with_sink, Sink,
+};
 pub use snapshotter::Snapshotter;
 pub use span::{
     profile_begin, profile_end, span, SpanGuard, SpanStat, MAX_DEPTH, MAX_PATH_LEN,
     TRUNCATED_COUNTER,
 };
-
-use std::sync::atomic::{AtomicBool, Ordering};
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// `true` while the global sink accepts data.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turns the global sink on or off. Instrumentation everywhere becomes
-/// live immediately; nothing recorded earlier is lost.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Clears every counter, span aggregate, gauge, sketch, and buffered event,
-/// and restarts the event epoch. The enabled flag is left as-is. Tests
-/// around the global sink call this between scenarios.
-pub fn reset() {
-    counter::reset_counters();
-    span::reset_spans();
-    gauge::reset_gauges();
-    quantile::reset_sketches();
-    event::drain_events();
-    event::reset_epoch();
-}
 
 /// A frozen view of the sink: aggregates copied, events drained.
 #[derive(Debug)]
@@ -87,17 +63,6 @@ pub struct Snapshot {
     pub sketches: Vec<(String, SketchSummary)>,
     /// Buffered events in emission order (removed from the sink).
     pub events: Vec<Event>,
-}
-
-/// Drains the event buffer and copies the aggregates.
-pub fn snapshot() -> Snapshot {
-    Snapshot {
-        counters: counter::snapshot_counters(),
-        spans: span::snapshot_spans(),
-        gauges: gauge::snapshot_gauges(),
-        sketches: quantile::snapshot_sketches(),
-        events: event::drain_events(),
-    }
 }
 
 impl Snapshot {

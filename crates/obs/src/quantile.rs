@@ -16,11 +16,9 @@
 //! orders of magnitude before any collapse happens, so in practice the
 //! strict bound holds for every latency/pivot stream in this workspace.
 //!
-//! Like the rest of the sink, the global registry ([`sketch_record`]) is
-//! inert while the sink is disabled: one relaxed atomic load, no locks.
+//! A [`crate::Sink`] keeps one sketch per name ([`crate::sketch_record`]).
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::json::Json;
 
@@ -316,12 +314,6 @@ impl RollingSketch {
         }
     }
 
-    /// The serve-path configuration: `alpha = 0.01` over a 30 s window in
-    /// 6 slices.
-    pub fn default_serve() -> Self {
-        Self::new(DEFAULT_ALPHA, std::time::Duration::from_secs(30), 6)
-    }
-
     /// Total window covered (bucket slice × ring length).
     pub fn window(&self) -> std::time::Duration {
         self.bucket_window * self.buckets.len() as u32
@@ -389,49 +381,6 @@ impl RollingSketch {
             .max(1e-3);
         self.merged_at(now).count() as f64 / horizon
     }
-}
-
-type SketchRegistry = Mutex<BTreeMap<&'static str, Arc<Mutex<QuantileSketch>>>>;
-
-fn registry() -> &'static SketchRegistry {
-    static REG: OnceLock<SketchRegistry> = OnceLock::new();
-    REG.get_or_init(Default::default)
-}
-
-/// Records `v` into the global sketch named `name` when the sink is
-/// enabled; one relaxed atomic load otherwise. Instrumented code keeps
-/// this off inner loops — once per round/solve/resample, like [`crate::add`].
-#[inline]
-pub fn sketch_record(name: &'static str, v: f64) {
-    if !crate::enabled() {
-        return;
-    }
-    let sketch = {
-        let mut reg = registry().lock().unwrap();
-        Arc::clone(
-            reg.entry(name)
-                .or_insert_with(|| Arc::new(Mutex::new(QuantileSketch::default_config()))),
-        )
-    };
-    sketch.lock().unwrap().record(v);
-}
-
-/// Summaries of every non-empty global sketch, sorted by name.
-pub(crate) fn snapshot_sketches() -> Vec<(String, SketchSummary)> {
-    registry()
-        .lock()
-        .unwrap()
-        .iter()
-        .filter_map(|(k, s)| {
-            let s = s.lock().unwrap();
-            (s.count() > 0).then(|| (k.to_string(), s.summary()))
-        })
-        .collect()
-}
-
-/// Clears every global sketch.
-pub(crate) fn reset_sketches() {
-    registry().lock().unwrap().clear();
 }
 
 #[cfg(test)]

@@ -10,11 +10,13 @@
 //! aggregates; `obs::report` and the `trace-report` subcommand consume the
 //! samples afterwards.
 //!
-//! The sampler is strictly opt-in and touches none of the instrumentation
-//! fast paths: when no snapshotter is started (the default everywhere) the
-//! cost is zero, and a started snapshotter whose sink is disabled skips the
-//! wake without reading any registry. Stopping (or dropping) the handle
-//! emits one final sample so short runs still produce at least one point.
+//! The sampler thread runs under the sink that was current where it was
+//! started, and samples and emits into that sink. It is strictly opt-in
+//! and touches none of the instrumentation fast paths: when no snapshotter
+//! is started (the default everywhere) the cost is zero, and a started
+//! snapshotter whose sink is disabled skips the wake without reading it.
+//! Stopping (or dropping) the handle emits one final sample so short runs
+//! still produce at least one point.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex};
@@ -49,9 +51,10 @@ struct Sample {
 /// Computes the delta of the live aggregates against `base` and advances
 /// `base` to the current cumulative values. Zero-delta entries are elided
 /// so idle phases serialize compactly.
-fn take_sample(base: &mut Baseline) -> Sample {
+fn take_sample(sink: &crate::Sink, base: &mut Baseline) -> Sample {
+    let (agg, buffered_events) = sink.sample();
     let mut counters = Vec::new();
-    for (name, cur) in crate::counter::snapshot_counters() {
+    for (name, cur) in agg.counters {
         let prev = base.counters.get(&name).copied().unwrap_or(0);
         if cur > prev {
             counters.push((name.clone(), cur - prev));
@@ -59,7 +62,7 @@ fn take_sample(base: &mut Baseline) -> Sample {
         base.counters.insert(name, cur);
     }
     let mut spans = Vec::new();
-    for (path, stat) in crate::span::snapshot_spans() {
+    for (path, stat) in agg.spans {
         let cur = (stat.count, stat.total.as_secs_f64());
         let prev = base.spans.get(&path).copied().unwrap_or((0, 0.0));
         if cur.0 > prev.0 {
@@ -68,7 +71,7 @@ fn take_sample(base: &mut Baseline) -> Sample {
         base.spans.insert(path, cur);
     }
     let mut sketches = Vec::new();
-    for (name, s) in crate::quantile::snapshot_sketches() {
+    for (name, s) in agg.sketches {
         let prev = base.sketches.get(&name).copied().unwrap_or(0);
         if s.count > prev {
             sketches.push((name.clone(), s));
@@ -79,11 +82,8 @@ fn take_sample(base: &mut Baseline) -> Sample {
         counters,
         spans,
         sketches,
-        gauges: crate::gauge::snapshot_gauges()
-            .into_iter()
-            .filter(|&(_, v)| v > 0)
-            .collect(),
-        buffered_events: crate::event::buffered_len(),
+        gauges: agg.gauges.into_iter().filter(|&(_, v)| v > 0).collect(),
+        buffered_events,
     }
 }
 
@@ -157,10 +157,10 @@ pub struct Snapshotter {
 }
 
 impl Snapshotter {
-    /// Spawns the sampler. Every `interval` (and once more on stop) it
-    /// emits a `timeseries` event with the aggregate deltas since the
-    /// previous sample; with `echo` set it also prints one compact progress
-    /// line per sample to stderr. Wakes while the sink is disabled sample
+    /// Spawns the sampler over the caller's current sink. Every `interval`
+    /// (and once more on stop) it emits a `timeseries` event with the
+    /// aggregate deltas since the previous sample; with `echo` set it also
+    /// prints one compact progress line per sample to stderr. Wakes while the sink is disabled sample
     /// nothing (and advance no baselines).
     pub fn start(interval: Duration, echo: bool) -> Self {
         let interval = interval.max(Duration::from_millis(1));
@@ -168,18 +168,22 @@ impl Snapshotter {
         let signal = Arc::clone(&stop);
         let thread = std::thread::Builder::new()
             .name("obs-snapshotter".into())
-            .spawn(move || {
+            .spawn(crate::in_current_sink(move || {
+                let sink = crate::current_sink();
                 let mut base = Baseline::default();
                 let mut seq = 0u64;
                 let (lock, cvar) = &*signal;
                 let mut stopped = lock.lock().unwrap();
                 loop {
-                    let (guard, _) = cvar.wait_timeout(stopped, interval).unwrap();
-                    stopped = guard;
+                    // A stop signalled before this thread first took the
+                    // lock must not wait out a whole interval.
+                    if !*stopped {
+                        stopped = cvar.wait_timeout(stopped, interval).unwrap().0;
+                    }
                     let finishing = *stopped;
-                    if crate::enabled() {
+                    if sink.is_enabled() {
                         seq += 1;
-                        let sample = take_sample(&mut base);
+                        let sample = take_sample(&sink, &mut base);
                         if echo {
                             eprintln!("{}", echo_line(seq, interval, &sample));
                         }
@@ -189,7 +193,7 @@ impl Snapshotter {
                         return;
                     }
                 }
-            })
+            }))
             .expect("spawning the snapshotter thread");
         Snapshotter {
             stop,

@@ -4,16 +4,16 @@
 //! name sits on a thread-local stack, and the guard's drop attributes the
 //! elapsed time to the `/`-joined path of the stack at entry (so `"round"`
 //! inside `"episode"` aggregates as `"episode/round"`). Aggregation is
-//! per-path into a global registry.
+//! per-path into the thread's current [`crate::Sink`].
 //!
 //! Path joining is bounded: nesting past [`MAX_DEPTH`] levels and paths
 //! past [`MAX_PATH_LEN`] bytes truncate (with a `…` marker) and count in
 //! [`TRUNCATED_COUNTER`], so pathological recursion cannot bloat the JSONL
-//! buffer or the registry.
+//! buffer or the sink.
 //!
-//! Cost model: when the global sink is disabled *and* no profile scope is
-//! active on the thread, [`span`] is one atomic load plus one thread-local
-//! flag read — no clock call, no allocation. That is the fast path the
+//! Cost model: when the current sink is disabled *and* no profile scope is
+//! active on the thread, [`span`] is one relaxed load plus two thread-local
+//! reads — no clock call, no lock, no allocation. That is the fast path the
 //! `hotpath` bench guards.
 //!
 //! **Profile scopes** ([`profile_begin`]/[`profile_end`]) are the one
@@ -23,16 +23,14 @@
 //! self-vs-child wall-time accounting; a round's phases are the tree's
 //! nodes, each charged only its self time.
 //!
-//! For regression drills, `ISRL_SLOW_SPAN=<leaf>:<ms>` injects a busy-wait
-//! into every span with that leaf name — the artificial slowdown the
-//! `trace-diff` golden test and CI smoke job attribute back to the span.
-//! The extended form `<leaf>:<ms>:@<n>` injects only into the *n*-th
-//! (1-based, process-wide) span with that leaf name, which is how the
-//! serve-path flight-recorder drill makes exactly one round slow.
+//! For regression drills, a sink's slow-span setting
+//! ([`crate::Sink::set_slow_span`], `<leaf>:<ms>[:@<n>]`) injects a
+//! busy-wait into every span with that leaf name (or only the *n*-th) —
+//! the artificial slowdown the `trace-diff` golden test and CI smoke job
+//! attribute back to the span.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Deepest span nesting that still joins into a full path; deeper frames
@@ -71,31 +69,37 @@ pub struct SpanStat {
 }
 
 impl SpanStat {
-    fn add(&mut self, d: Duration) {
+    pub(crate) fn add(&mut self, d: Duration) {
         self.count += 1;
         self.total += d;
         self.max = self.max.max(d);
     }
 }
 
-fn registry() -> &'static Mutex<BTreeMap<String, SpanStat>> {
-    static REG: OnceLock<Mutex<BTreeMap<String, SpanStat>>> = OnceLock::new();
-    REG.get_or_init(Default::default)
+/// A parsed `<leaf>:<ms>[:@<n>]` slow-span spec (a [`crate::Sink`]
+/// setting) and how many spans with that leaf name it has seen.
+pub(crate) struct SlowSpan {
+    leaf: String,
+    extra: Duration,
+    nth: Option<u64>,
+    seen: u64,
 }
 
-/// The `ISRL_SLOW_SPAN=<leaf>:<ms>[:@<n>]` injection target, parsed once.
-/// `n`, when present, restricts the busy-wait to the n-th matching span
-/// process-wide (1-based).
-fn slow_span() -> Option<&'static (String, Duration, Option<u64>)> {
-    static SLOW: OnceLock<Option<(String, Duration, Option<u64>)>> = OnceLock::new();
-    SLOW.get_or_init(|| {
-        let spec = std::env::var("ISRL_SLOW_SPAN").ok()?;
-        parse_slow_spec(&spec)
-    })
-    .as_ref()
+impl SlowSpan {
+    /// The busy-wait a finishing span named `leaf` owes the drill, if any;
+    /// counts the span toward the `:@n` form.
+    pub(crate) fn owed(&mut self, leaf: &str) -> Option<Duration> {
+        if self.leaf != leaf {
+            return None;
+        }
+        self.seen += 1;
+        self.nth
+            .map_or(true, |n| self.seen == n)
+            .then_some(self.extra)
+    }
 }
 
-fn parse_slow_spec(spec: &str) -> Option<(String, Duration, Option<u64>)> {
+pub(crate) fn parse_slow_spec(spec: &str) -> Option<SlowSpan> {
     let (name, rest) = spec.split_once(':')?;
     let (ms_str, nth) = match rest.split_once(':') {
         Some((ms, at)) => {
@@ -108,15 +112,15 @@ fn parse_slow_spec(spec: &str) -> Option<(String, Duration, Option<u64>)> {
         None => (rest, None),
     };
     let ms: f64 = ms_str.parse().ok()?;
-    (!name.is_empty() && ms.is_finite() && ms > 0.0)
-        .then(|| (name.to_string(), Duration::from_secs_f64(ms / 1e3), nth))
+    (!name.is_empty() && ms.is_finite() && ms > 0.0).then(|| SlowSpan {
+        leaf: name.to_string(),
+        extra: Duration::from_secs_f64(ms / 1e3),
+        nth,
+        seen: 0,
+    })
 }
 
-/// Process-wide count of spans matching the `ISRL_SLOW_SPAN` leaf name,
-/// used to resolve the `:@<n>` form.
-static SLOW_SEEN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Joins the current stack into a registry path, applying the depth and
+/// Joins the current stack into a span path, applying the depth and
 /// length bounds. Returns the path and whether truncation happened.
 fn join_path(stack: &[&'static str]) -> (String, bool) {
     let mut truncated = false;
@@ -148,15 +152,11 @@ pub struct SpanGuard {
     start: Option<Instant>,
 }
 
-fn scope_active() -> bool {
-    SCOPES.with(|s| s.borrow().profile.is_some())
-}
-
-/// Opens a span named `name`. Inert (no clock read) when the sink is
-/// disabled and no profile scope is active on this thread.
+/// Opens a span named `name`. Inert (no clock read) when the current sink
+/// is disabled and no profile scope is active on this thread.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    if !crate::enabled() && !scope_active() {
+    if !crate::enabled() && SCOPES.with(|s| s.borrow().profile.is_none()) {
         return SpanGuard { name, start: None };
     }
     SCOPES.with(|s| s.borrow_mut().stack.push(name));
@@ -169,37 +169,29 @@ pub fn span(name: &'static str) -> SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(start) = self.start else { return };
-        if let Some((slow_name, extra, nth)) = slow_span() {
-            if self.name == slow_name {
-                let seen = SLOW_SEEN.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-                if nth.map_or(true, |n| seen == n) {
-                    // Busy-wait so the injected latency is real wall time —
-                    // enclosing spans must see it too, or parents' self time
-                    // would go negative in the profile tree.
-                    while start.elapsed() < *extra {
-                        std::hint::spin_loop();
-                    }
+        crate::sink::with_current(|sink| {
+            if let Some(extra) = sink.slow_extra(self.name) {
+                // Busy-wait so the injected latency is real wall time —
+                // enclosing spans must see it too, or parents' self time
+                // would go negative in the profile tree.
+                while start.elapsed() < extra {
+                    std::hint::spin_loop();
                 }
             }
-        }
-        let dur = start.elapsed();
-        let (path, truncated) = SCOPES.with(|s| {
-            let mut scopes = s.borrow_mut();
-            let joined = join_path(&scopes.stack);
-            scopes.stack.pop();
-            if let Some(prof) = scopes.profile.as_mut() {
-                let slot = prof.entry(joined.0.clone()).or_insert((0, Duration::ZERO));
-                slot.0 += 1;
-                slot.1 += dur;
-            }
-            joined
+            let dur = start.elapsed();
+            let (path, truncated) = SCOPES.with(|s| {
+                let mut scopes = s.borrow_mut();
+                let joined = join_path(&scopes.stack);
+                scopes.stack.pop();
+                if let Some(prof) = scopes.profile.as_mut() {
+                    let slot = prof.entry(joined.0.clone()).or_insert((0, Duration::ZERO));
+                    slot.0 += 1;
+                    slot.1 += dur;
+                }
+                joined
+            });
+            sink.record_span(path, dur, truncated);
         });
-        if truncated {
-            crate::add(TRUNCATED_COUNTER, 1);
-        }
-        if crate::enabled() {
-            registry().lock().unwrap().entry(path).or_default().add(dur);
-        }
     }
 }
 
@@ -220,21 +212,6 @@ pub fn profile_end() -> Vec<(String, u64, Duration)> {
         .unwrap_or_default()
 }
 
-/// All span paths and their aggregated stats, sorted by path.
-pub(crate) fn snapshot_spans() -> Vec<(String, SpanStat)> {
-    registry()
-        .lock()
-        .unwrap()
-        .iter()
-        .map(|(k, v)| (k.clone(), *v))
-        .collect()
-}
-
-/// Clears the global span registry (thread-local scopes are unaffected).
-pub(crate) fn reset_spans() {
-    registry().lock().unwrap().clear();
-}
-
 #[cfg(test)]
 mod tests {
     use super::parse_slow_spec;
@@ -242,12 +219,13 @@ mod tests {
 
     #[test]
     fn slow_spec_parses_plain_and_nth_forms() {
+        let parsed = |spec| parse_slow_spec(spec).map(|s| (s.leaf, s.extra, s.nth));
         assert_eq!(
-            parse_slow_spec("top1:5"),
+            parsed("top1:5"),
             Some(("top1".into(), Duration::from_millis(5), None))
         );
         assert_eq!(
-            parse_slow_spec("top1:2.5:@7"),
+            parsed("top1:2.5:@7"),
             Some(("top1".into(), Duration::from_micros(2500), Some(7)))
         );
         for bad in [
@@ -259,11 +237,7 @@ mod tests {
             "top1:5:@0",
             "top1:5:7",
         ] {
-            assert_eq!(
-                parse_slow_spec(bad),
-                None,
-                "spec {bad:?} should be rejected"
-            );
+            assert_eq!(parsed(bad), None, "spec {bad:?} should be rejected");
         }
     }
 }

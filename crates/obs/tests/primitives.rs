@@ -1,28 +1,23 @@
 //! Integration tests for the telemetry primitives.
 //!
-//! The sink is global, so every test takes one shared lock and calls
-//! `obs::reset()` on entry — the cases can run under the default parallel
-//! test harness without observing each other's data.
+//! Every case records into its own private [`Sink`], so the cases run under
+//! the default parallel test harness without observing each other's data
+//! and assert absolute values.
 
-use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 
-fn sink_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    let guard = LOCK
-        .get_or_init(Default::default)
-        .lock()
-        .unwrap_or_else(|p| p.into_inner());
-    isrl_obs::set_enabled(false);
-    isrl_obs::reset();
-    guard
+use isrl_obs::{with_sink, Sink};
+
+/// A private, enabled sink.
+fn live_sink() -> Sink {
+    let sink = Sink::new();
+    sink.set_enabled(true);
+    sink
 }
 
 #[test]
 fn spans_nest_into_slash_paths_across_threads() {
-    let _g = sink_lock();
-    isrl_obs::set_enabled(true);
-
+    let sink = live_sink();
     let worker = || {
         let _outer = isrl_obs::span("episode");
         for _ in 0..3 {
@@ -30,13 +25,17 @@ fn spans_nest_into_slash_paths_across_threads() {
             std::hint::black_box(());
         }
     };
-    let handles: Vec<_> = (0..4).map(|_| std::thread::spawn(worker)).collect();
-    worker();
-    for h in handles {
-        h.join().unwrap();
-    }
+    with_sink(&sink, || {
+        let handles: Vec<_> = (0..4)
+            .map(|_| std::thread::spawn(isrl_obs::in_current_sink(worker)))
+            .collect();
+        worker();
+        for h in handles {
+            h.join().unwrap();
+        }
+    });
 
-    let snap = isrl_obs::snapshot();
+    let snap = sink.snapshot();
     let stat = |path: &str| {
         snap.spans
             .iter()
@@ -55,9 +54,14 @@ fn spans_nest_into_slash_paths_across_threads() {
 
 #[test]
 fn profile_scope_collects_path_durations_even_when_sink_disabled() {
-    let _g = sink_lock();
-    assert!(!isrl_obs::enabled());
+    let sink = Sink::new();
+    with_sink(&sink, profile_scope_case);
+    // With the sink disabled nothing reached its span stats.
+    assert!(sink.snapshot().spans.is_empty());
+}
 
+fn profile_scope_case() {
+    assert!(!isrl_obs::enabled());
     isrl_obs::profile_begin();
     {
         let _outer = isrl_obs::span("geom_update");
@@ -79,23 +83,20 @@ fn profile_scope_collects_path_durations_even_when_sink_disabled() {
     );
     assert!(pairs[1].2 >= Duration::from_millis(1));
     assert!(pairs[0].2 >= pairs[1].2, "parents cover their children");
-
-    // With the sink disabled nothing reached the global registry.
-    assert!(isrl_obs::snapshot().spans.is_empty());
-    // And a second profile_end without a begin is empty, not stale.
+    // A second profile_end without a begin is empty, not stale.
     assert!(isrl_obs::profile_end().is_empty());
 }
 
 #[test]
 fn sketch_record_resolves_quantiles_within_relative_error() {
-    let _g = sink_lock();
-    isrl_obs::set_enabled(true);
-
+    let sink = live_sink();
     // Values one power-of-two bucket would have merged into one midpoint.
-    for v in 1..=100 {
-        isrl_obs::sketch_record("t.sketch", 1024.0 + 8.0 * v as f64);
-    }
-    let snap = isrl_obs::snapshot();
+    with_sink(&sink, || {
+        for v in 1..=100 {
+            isrl_obs::sketch_record("t.sketch", 1024.0 + 8.0 * v as f64);
+        }
+    });
+    let snap = sink.snapshot();
     let (_, s) = snap.sketches.iter().find(|(k, _)| k == "t.sketch").unwrap();
     assert_eq!(s.count, 100);
     assert_eq!(s.max, 1824.0);
@@ -110,21 +111,20 @@ fn sketch_record_resolves_quantiles_within_relative_error() {
 
 #[test]
 fn disabled_sink_records_nothing_and_stays_cheap() {
-    let _g = sink_lock();
-    assert!(!isrl_obs::enabled());
-
-    let c = isrl_obs::counter("t.disabled");
-    c.add(7);
-    isrl_obs::add("t.disabled", 3);
-    isrl_obs::sketch_record("t.disabled_sketch", 1.0);
-    isrl_obs::gauge_set("t.disabled_gauge", 42);
-    isrl_obs::emit(isrl_obs::Event::new("round").field("round", 1usize));
-    {
-        let _s = isrl_obs::span("t.disabled_span");
-    }
-    let snap = isrl_obs::snapshot();
-    assert_eq!(isrl_obs::counter_value("t.disabled"), 0);
-    assert_eq!(isrl_obs::gauge_value("t.disabled_gauge"), 0);
+    let sink = Sink::new();
+    with_sink(&sink, || {
+        assert!(!isrl_obs::enabled());
+        isrl_obs::add("t.disabled", 3);
+        isrl_obs::sketch_record("t.disabled_sketch", 1.0);
+        isrl_obs::gauge_set("t.disabled_gauge", 42);
+        isrl_obs::emit(isrl_obs::Event::new("round").field("round", 1usize));
+        {
+            let _s = isrl_obs::span("t.disabled_span");
+        }
+    });
+    let snap = sink.snapshot();
+    assert!(snap.counters.is_empty());
+    assert!(snap.gauges.is_empty());
     assert!(snap.sketches.is_empty());
     assert!(snap.spans.is_empty());
     assert!(snap.events.is_empty());
@@ -135,36 +135,38 @@ fn disabled_sink_records_nothing_and_stays_cheap() {
     // lock on the disabled path. A snapshotter is *running* during the
     // loop: with the sink disabled its wakes must not add overhead either
     // (the disabled-sink guarantee extends to the sampler).
-    let sampler = isrl_obs::Snapshotter::start(Duration::from_millis(2), false);
-    let iters = 100_000u32;
-    let t = std::time::Instant::now();
-    for _ in 0..iters {
-        c.add(1);
-        let _s = isrl_obs::span("t.fast");
-        isrl_obs::gauge_set("t.fast_gauge", 1);
-        std::hint::black_box(&c);
-    }
-    let per_op = t.elapsed().as_nanos() as f64 / iters as f64;
-    sampler.stop();
+    let per_op = with_sink(&sink, || {
+        let sampler = isrl_obs::Snapshotter::start(Duration::from_millis(2), false);
+        let iters = 100_000u32;
+        let t = std::time::Instant::now();
+        for _ in 0..iters {
+            isrl_obs::add("t.fast", 1);
+            let _s = isrl_obs::span("t.fast");
+            isrl_obs::gauge_set("t.fast_gauge", 1);
+        }
+        let per_op = t.elapsed().as_nanos() as f64 / iters as f64;
+        sampler.stop();
+        per_op
+    });
     assert!(per_op < 1_000.0, "disabled-path op took {per_op} ns");
     // The disabled-sink snapshotter emitted nothing.
-    assert!(isrl_obs::snapshot().events.is_empty());
+    assert!(sink.snapshot().events.is_empty());
 }
 
 #[test]
 fn snapshotter_emits_increasing_timeseries_samples() {
-    let _g = sink_lock();
-    isrl_obs::set_enabled(true);
+    let sink = live_sink();
+    with_sink(&sink, || {
+        let sampler = isrl_obs::Snapshotter::start(Duration::from_millis(5), false);
+        for i in 0..4 {
+            isrl_obs::add("t.snap.work", 10);
+            isrl_obs::gauge_set("t.snap.level", 100 + i);
+            std::thread::sleep(Duration::from_millis(8));
+        }
+        sampler.stop();
+    });
 
-    let sampler = isrl_obs::Snapshotter::start(Duration::from_millis(5), false);
-    for i in 0..4 {
-        isrl_obs::add("t.snap.work", 10);
-        isrl_obs::gauge_set("t.snap.level", 100 + i);
-        std::thread::sleep(Duration::from_millis(8));
-    }
-    sampler.stop();
-
-    let snap = isrl_obs::snapshot();
+    let snap = sink.snapshot();
     let series: Vec<&isrl_obs::Event> = snap
         .events
         .iter()
@@ -210,21 +212,25 @@ fn snapshotter_emits_increasing_timeseries_samples() {
 }
 
 #[test]
-fn gauges_keep_last_value_and_reset_to_zero() {
-    let _g = sink_lock();
-    isrl_obs::set_enabled(true);
-
-    isrl_obs::gauge_set("t.gauge", 7);
-    isrl_obs::gauge_set("t.gauge", 3);
-    assert_eq!(isrl_obs::gauge_value("t.gauge"), 3, "last set wins");
-    let snap = isrl_obs::snapshot();
-    assert!(snap.gauges.iter().any(|(k, v)| k == "t.gauge" && *v == 3));
+fn gauges_keep_last_value_and_start_at_zero() {
+    let sink = live_sink();
+    assert!(
+        sink.snapshot().gauges.is_empty(),
+        "a new sink has no gauges"
+    );
+    with_sink(&sink, || {
+        isrl_obs::gauge_set("t.gauge", 7);
+        isrl_obs::gauge_set("t.gauge", 3);
+    });
+    let snap = sink.snapshot();
+    assert_eq!(
+        snap.gauges,
+        vec![("t.gauge".to_string(), 3)],
+        "last set wins"
+    );
     // The summary JSON carries a gauges object.
     let summary = snap.summary_json().to_string();
     assert!(summary.contains(r#""gauges":{"#), "{summary}");
-
-    isrl_obs::reset();
-    assert_eq!(isrl_obs::gauge_value("t.gauge"), 0);
 }
 
 #[test]
@@ -239,27 +245,27 @@ fn event_overflow_is_counted_not_silent() {
 
 #[test]
 fn events_serialize_as_schema_valid_jsonl() {
-    let _g = sink_lock();
-    isrl_obs::set_enabled(true);
+    let sink = live_sink();
+    with_sink(&sink, || {
+        isrl_obs::add("lp.pivots", 12);
+        isrl_obs::emit(
+            isrl_obs::Event::new("round")
+                .field("algo", "EA")
+                .field("round", 1usize)
+                .field("elapsed_ms", 0.25)
+                .field("cut", &[0.5, -0.5][..]),
+        );
+        isrl_obs::emit(
+            isrl_obs::Event::new("episode")
+                .field("algo", "EA")
+                .field("episode", 0usize)
+                .field("rounds", 4usize)
+                .field("epsilon", 0.9)
+                .field("replay_len", 16usize),
+        );
+    });
 
-    isrl_obs::add("lp.pivots", 12);
-    isrl_obs::emit(
-        isrl_obs::Event::new("round")
-            .field("algo", "EA")
-            .field("round", 1usize)
-            .field("elapsed_ms", 0.25)
-            .field("cut", &[0.5, -0.5][..]),
-    );
-    isrl_obs::emit(
-        isrl_obs::Event::new("episode")
-            .field("algo", "EA")
-            .field("episode", 0usize)
-            .field("rounds", 4usize)
-            .field("epsilon", 0.9)
-            .field("replay_len", 16usize),
-    );
-
-    let snap = isrl_obs::snapshot();
+    let snap = sink.snapshot();
     let mut buf = Vec::new();
     snap.write_jsonl(&mut buf).unwrap();
     let text = String::from_utf8(buf).unwrap();
@@ -270,7 +276,7 @@ fn events_serialize_as_schema_valid_jsonl() {
     assert!(report.warnings.is_empty());
 
     // A second snapshot has no events left (drained) but keeps aggregates.
-    let again = isrl_obs::snapshot();
+    let again = sink.snapshot();
     assert!(again.events.is_empty());
     assert!(again
         .counters
@@ -280,9 +286,7 @@ fn events_serialize_as_schema_valid_jsonl() {
 
 #[test]
 fn span_paths_are_depth_and_length_bounded() {
-    let _g = sink_lock();
-    isrl_obs::set_enabled(true);
-
+    let sink = live_sink();
     // Recurse far past MAX_DEPTH with fat segment names so both the depth
     // and the byte-length bound trip; guards drop innermost-first.
     fn deep(n: usize) {
@@ -293,9 +297,9 @@ fn span_paths_are_depth_and_length_bounded() {
         let _g = isrl_obs::span("a_rather_long_span_segment_name");
         deep(n - 1);
     }
-    deep(isrl_obs::MAX_DEPTH + 4);
+    with_sink(&sink, || deep(isrl_obs::MAX_DEPTH + 4));
 
-    let snap = isrl_obs::snapshot();
+    let snap = sink.snapshot();
     assert!(!snap.spans.is_empty());
     for (path, _) in &snap.spans {
         assert!(
@@ -310,7 +314,7 @@ fn span_paths_are_depth_and_length_bounded() {
         snap.spans
     );
     assert!(
-        isrl_obs::counter_value(isrl_obs::TRUNCATED_COUNTER) > 0,
+        sink.counter_value(isrl_obs::TRUNCATED_COUNTER) > 0,
         "truncations must be counted"
     );
     // The truncation counter is a warning counter: a trace written from
@@ -323,4 +327,76 @@ fn span_paths_are_depth_and_length_bounded() {
         .warnings
         .iter()
         .any(|(name, _)| name == isrl_obs::TRUNCATED_COUNTER));
+}
+
+#[test]
+fn threads_under_two_sinks_each_see_only_their_own_counts() {
+    let sinks = [live_sink(), live_sink()];
+    std::thread::scope(|scope| {
+        for (i, sink) in sinks.iter().enumerate() {
+            scope.spawn(move || {
+                with_sink(sink, || {
+                    for _ in 0..=i * 1000 {
+                        isrl_obs::add("t.shared_name", 1);
+                        isrl_obs::emit(isrl_obs::Event::new("tick"));
+                    }
+                })
+            });
+        }
+    });
+    for (i, sink) in sinks.iter().enumerate() {
+        let snap = sink.snapshot();
+        assert_eq!(sink.counter_value("t.shared_name"), 1 + i as u64 * 1000);
+        assert_eq!(snap.events.len(), 1 + i * 1000);
+    }
+}
+
+#[test]
+fn with_sink_nests_and_restores_the_previous_sink() {
+    let (outer, inner) = (live_sink(), live_sink());
+    with_sink(&outer, || {
+        isrl_obs::add("t.nest", 1);
+        with_sink(&inner, || isrl_obs::add("t.nest", 10));
+        // A panic inside a nested scope still restores the outer sink.
+        let _ = std::panic::catch_unwind(|| with_sink(&inner, || panic!("drill")));
+        isrl_obs::add("t.nest", 100);
+    });
+    assert_eq!(outer.counter_value("t.nest"), 101);
+    assert_eq!(inner.counter_value("t.nest"), 10);
+}
+
+#[test]
+fn snapshotter_thread_records_into_its_spawners_sink() {
+    let sink = live_sink();
+    with_sink(&sink, || {
+        let sampler = isrl_obs::Snapshotter::start(Duration::from_secs(60), false);
+        isrl_obs::add("t.spawner_work", 5);
+        sampler.stop();
+    });
+    // The final sample on stop reads and emits into the spawner's sink.
+    let events = sink.snapshot().events;
+    assert!(!events.is_empty() && events.iter().all(|e| e.name == "timeseries"));
+    let work: f64 = events
+        .iter()
+        .flat_map(|e| e.fields.iter().filter(|(k, _)| *k == "counters"))
+        .filter_map(|(_, v)| v.get("t.spawner_work")?.as_f64())
+        .sum();
+    assert_eq!(work, 5.0);
+}
+
+#[test]
+fn slow_span_drill_is_a_setting_of_its_sink() {
+    let sink = live_sink();
+    assert!(sink.set_slow_span("t.slow:nope").is_err());
+    sink.set_slow_span("t.slow:30:@2").unwrap();
+    let lasted: Vec<Duration> = with_sink(&sink, || {
+        (0..3)
+            .map(|_| {
+                let t = std::time::Instant::now();
+                drop(isrl_obs::span("t.slow"));
+                t.elapsed()
+            })
+            .collect()
+    });
+    assert!(lasted[1] >= Duration::from_millis(30), "{lasted:?}");
 }

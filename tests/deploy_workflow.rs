@@ -115,10 +115,9 @@ fn diagnostics_integrate_with_served_sessions() {
     let mut agent = AaAgent::new(3, AaConfig::paper_default().with_seed(5));
     let mut user = SimulatedUser::new(vec![0.4, 0.3, 0.3]);
     let out = agent.run(&data, &mut user, 0.1, TraceMode::PerRound);
-    // Geometric mode (the default) reads the traced volume proxies, so
-    // the operator loop needs no Monte-Carlo sample budget at all.
-    let report =
-        isrl_core::diagnostics::analyze(&out, &DiagnosticsConfig::default()).expect("traced");
+    // Diagnostics read the traced volume proxies, so the operator loop
+    // needs no Monte-Carlo sample budget at all.
+    let report = isrl_core::diagnostics::analyze(&out).expect("traced");
     assert_eq!(report.rounds.len(), out.rounds);
     // AA's near-center questions should act like (approximate) bisection.
     assert!(

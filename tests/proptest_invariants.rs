@@ -187,9 +187,8 @@ proptest! {
 /// that both LP certificates fired: the property covers certified rounds.
 #[test]
 fn aa_untruncated_sessions_meet_the_d2_eps_bound() {
-    isrl_obs::set_enabled(true);
-    let extent_before = isrl_obs::counter_value("lp.cert.extent_hits");
-    let cut_before = isrl_obs::counter_value("lp.cert.cut_hits");
+    let sink = isrl_obs::Sink::new();
+    sink.set_enabled(true);
     let cases = ProptestConfig::with_cases(64).from_env().cases;
     let mut untruncated = 0usize;
     for seed in 0..u64::from(cases) {
@@ -207,7 +206,7 @@ fn aa_untruncated_sessions_meet_the_d2_eps_bound() {
 
         let mut agent = AaAgent::new(d, AaConfig::paper_default().with_seed(seed));
         let mut user = SimulatedUser::new(truth.clone());
-        let out = agent.run(&data, &mut user, eps, TraceMode::Off);
+        let out = isrl_obs::with_sink(&sink, || agent.run(&data, &mut user, eps, TraceMode::Off));
         if out.truncated {
             continue;
         }
@@ -225,8 +224,8 @@ fn aa_untruncated_sessions_meet_the_d2_eps_bound() {
         untruncated > 0,
         "every one of {cases} sessions was truncated"
     );
-    let extent_hits = isrl_obs::counter_value("lp.cert.extent_hits") - extent_before;
-    let cut_hits = isrl_obs::counter_value("lp.cert.cut_hits") - cut_before;
+    let extent_hits = sink.counter_value("lp.cert.extent_hits");
+    let cut_hits = sink.counter_value("lp.cert.cut_hits");
     assert!(
         extent_hits > 0,
         "no extent certificate fired in {cases} sessions"
