@@ -19,7 +19,7 @@ use crate::interaction::{InteractionOutcome, InteractiveAlgorithm, Question, Tra
 use crate::round::{self, Algo, Learner};
 use crate::user::User;
 use isrl_data::Dataset;
-use isrl_geometry::RegionGeometry;
+use isrl_geometry::{sampling, RegionGeometry};
 use isrl_rl::{Dqn, DqnConfig, EpsilonSchedule};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -141,7 +141,14 @@ pub(crate) fn aa_actions(
 ) -> Vec<Question> {
     let pool = {
         let _s = isrl_obs::span("sampling");
-        isrl_geometry::sampling::hit_and_run(dim, geom.region().halfspaces(), center, 48, 2, rng)
+        sampling::hit_and_run(
+            dim,
+            geom.region().halfspaces(),
+            center,
+            48,
+            sampling::REGION_THIN,
+            rng,
+        )
     };
     let (region, lp_cache) = geom.region_and_lp_cache();
     candidate_pairs(

@@ -95,27 +95,26 @@ impl UhBaseline {
     }
 
     /// Candidate points still able to be the user's favorite, found the
-    /// same way EA builds `P_R` (sampled + extreme utility vectors).
-    fn candidates(&mut self, data: &Dataset, region: &Region, vertices: &[Vec<f64>]) -> Vec<usize> {
+    /// same way EA builds `P_R`: a hit-and-run sample of the region started
+    /// at the vertex centroid, plus the vertices themselves.
+    fn candidates(
+        &mut self,
+        data: &Dataset,
+        region: &Region,
+        vertices: &[Vec<f64>],
+        centroid: &[f64],
+    ) -> Vec<usize> {
         let mut samples = {
             let _s = isrl_obs::span("sampling");
-            sampling::sample_region_rejection(
+            sampling::hit_and_run(
                 region.dim(),
                 region.halfspaces(),
+                centroid,
                 self.cfg.n_samples,
-                self.cfg.n_samples * 10,
+                sampling::REGION_THIN,
                 &mut self.rng,
             )
         };
-        if samples.len() < self.cfg.n_samples {
-            let _s = isrl_obs::span("sampling");
-            let need = self.cfg.n_samples - samples.len();
-            samples.extend(sampling::sample_vertex_mixture(
-                vertices,
-                need,
-                &mut self.rng,
-            ));
-        }
         samples.extend(vertices.iter().cloned());
         let _t = isrl_obs::span("top1");
         terminal_points(data, samples.iter())
@@ -277,7 +276,7 @@ impl InteractiveAlgorithm for UhBaseline {
             let record = trace_mode.should_trace(rounds + 1) || isrl_obs::enabled();
             let round_started = sw.elapsed();
 
-            let candidates = self.candidates(data, &region, &vertices);
+            let candidates = self.candidates(data, &region, &vertices, &centroid);
             let Some(q) =
                 self.select_question(data, &region, &mut lp, &candidates, &centroid, &asked)
             else {

@@ -168,34 +168,27 @@ pub(crate) fn ea_phase1(
     Some((state, utilities))
 }
 
-/// The exact backend's extra sample draw for V (Lemma 5/6): rejection
-/// sampling, then the vertex-mixture fallback on underfill (flagging the
-/// `ea.sample_fallbacks` warning counter). The caller appends the vertices
-/// themselves by chaining the phase-1 scan results. The sampled backend
-/// skips this: its cloud already is a uniform sample of R.
+/// The exact backend's extra sample draw for V (Lemma 5/6): a hit-and-run
+/// chain started at the vertex centroid phase 1 already computed (the mean
+/// of a full-dimensional polytope's vertices is strictly interior). The
+/// caller appends the vertices themselves by chaining the phase-1 scan
+/// results. The sampled backend skips this: its cloud already is a
+/// uniform sample of R.
 pub(crate) fn ea_sample_extras(
     cfg: &EaConfig,
     geom: &RegionGeometry,
-    points: &[Vec<f64>],
+    centroid: &[f64],
     rng: &mut StdRng,
 ) -> Vec<Vec<f64>> {
-    let mut samples = {
-        let _s = isrl_obs::span("sampling");
-        sampling::sample_region_rejection(
-            geom.dim(),
-            geom.region().halfspaces(),
-            cfg.n_samples,
-            cfg.n_samples * 10,
-            rng,
-        )
-    };
-    if samples.len() < cfg.n_samples {
-        isrl_obs::add("ea.sample_fallbacks", 1);
-        let _s = isrl_obs::span("sampling");
-        let need = cfg.n_samples - samples.len();
-        samples.extend(sampling::sample_vertex_mixture(points, need, rng));
-    }
-    samples
+    let _s = isrl_obs::span("sampling");
+    sampling::hit_and_run(
+        geom.dim(),
+        geom.region().halfspaces(),
+        centroid,
+        cfg.n_samples,
+        sampling::REGION_THIN,
+        rng,
+    )
 }
 
 /// Builds the candidate action space from `P_R`. When every unasked pair

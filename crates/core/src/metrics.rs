@@ -21,10 +21,10 @@ pub const DEFAULT_MAX_REGRET_SAMPLES: usize = 10_000;
 /// paper's procedure for Figures 7–8: draw `n_samples` vectors from the
 /// region and report the worst observed regret.
 ///
-/// Sampling strategy: rejection from the simplex while it still succeeds
-/// (exact uniform), then hit-and-run seeded at the region's inner-sphere
-/// center once the region is too small for rejection. Returns `None` when
-/// the region has no interior at all (empty or degenerate).
+/// Sampling strategy: hit-and-run seeded at the region's inner-sphere
+/// center (`Region::feasible_point`), which mixes toward the uniform
+/// distribution on the region however small it is. Returns `None` when the
+/// region has no interior at all (empty or degenerate) or `n_samples` is 0.
 pub fn max_regret_estimate(
     data: &Dataset,
     region: &Region,
@@ -33,27 +33,15 @@ pub fn max_regret_estimate(
     seed: u64,
 ) -> Option<f64> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let d = region.dim();
-    // Cheap exact attempt first: rejection with a modest budget.
-    let mut samples = sampling::sample_region_rejection(
-        d,
+    let center = region.feasible_point()?;
+    let samples = sampling::hit_and_run(
+        region.dim(),
         region.halfspaces(),
+        &center,
         n_samples,
-        n_samples.saturating_mul(20),
+        sampling::REGION_THIN,
         &mut rng,
     );
-    if samples.len() < n_samples {
-        let center = region.feasible_point()?;
-        let remaining = n_samples - samples.len();
-        samples.extend(sampling::hit_and_run(
-            d,
-            region.halfspaces(),
-            &center,
-            remaining,
-            2,
-            &mut rng,
-        ));
-    }
     if samples.is_empty() {
         return None;
     }

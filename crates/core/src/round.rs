@@ -310,7 +310,8 @@ impl Round {
             let questions = ea_actions(cfg, &anchors, &self.asked, &mut self.rng);
             self.offer(data, state, questions);
         } else {
-            let extras = ea_sample_extras(cfg, &self.geom, points, &mut self.rng);
+            let centroid = &utilities[points.len()];
+            let extras = ea_sample_extras(cfg, &self.geom, centroid, &mut self.rng);
             self.stage = Stage::Scan2 {
                 utilities: Some(extras),
                 state,

@@ -14,7 +14,10 @@
 //!   `TraceMode::PerRound` run — pins the per-round recommendation.
 //!
 //! The three configurations cover EA on the exact backend (d = 3), EA on
-//! the sampled backend (d = 8) and AA (d = 4).
+//! the sampled backend (d = 8) and AA (d = 4). The two EA fixtures were
+//! re-recorded when every in-region sample moved to the hit-and-run chain
+//! (EA's extra samples of `V` on the exact backend, the cloud's initial
+//! fill on the sampled one); the AA fixture did not move.
 
 use isrl_core::checkpoint::{save_aa, save_ea};
 use isrl_core::prelude::*;
@@ -146,19 +149,26 @@ fn run(questions: &[(usize, usize)], point_index: usize) -> UserRun {
 fn ea_exact_d3_matches_golden() {
     let got = ea_golden(3, 300, GeometryBackend::Exact, 6, 0.1);
     let want = Golden {
-        checkpoint_hash: 10636204210935266088,
+        checkpoint_hash: 13091607541454244082,
         users: vec![
-            run(&[(1, 30), (0, 60), (1, 60), (9, 60), (9, 20), (9, 19)], 19),
-            run(&[(40, 1), (19, 70), (60, 0), (13, 0)], 13),
-            run(&[(0, 13), (40, 9), (40, 50), (0, 70), (30, 0)], 0),
+            run(
+                &[
+                    (13, 0),
+                    (70, 19),
+                    (19, 13),
+                    (19, 10),
+                    (19, 6),
+                    (9, 60),
+                    (20, 9),
+                    (10, 6),
+                    (9, 19),
+                ],
+                19,
+            ),
+            run(&[(0, 10), (9, 13), (13, 10)], 17),
+            run(&[(60, 70), (70, 30), (0, 17)], 0),
         ],
-        trace: vec![
-            (0, Some(3)),
-            (0, Some(4)),
-            (0, Some(5)),
-            (0, Some(6)),
-            (0, Some(6)),
-        ],
+        trace: vec![(0, Some(4)), (13, Some(4)), (0, Some(4))],
     };
     assert_eq!(got, want);
 }
@@ -167,59 +177,58 @@ fn ea_exact_d3_matches_golden() {
 fn ea_sampled_d8_matches_golden() {
     let got = ea_golden(8, 150, GeometryBackend::Sampled, 3, 0.2);
     let want = Golden {
-        checkpoint_hash: 5918395747226557623,
+        checkpoint_hash: 12675995645603518468,
         users: vec![
             run(
                 &[
-                    (29, 8),
-                    (65, 5),
-                    (4, 21),
-                    (14, 20),
-                    (113, 92),
-                    (67, 5),
-                    (4, 12),
-                    (29, 92),
-                    (14, 5),
-                    (5, 46),
-                    (46, 42),
-                    (46, 29),
+                    (97, 7),
+                    (0, 9),
+                    (9, 46),
+                    (9, 20),
+                    (24, 29),
+                    (9, 121),
+                    (11, 19),
+                    (27, 5),
+                    (42, 68),
                 ],
                 4,
             ),
             run(
                 &[
-                    (45, 20),
-                    (26, 3),
-                    (5, 90),
-                    (39, 113),
-                    (3, 39),
-                    (14, 13),
-                    (5, 10),
-                    (34, 92),
+                    (20, 29),
+                    (44, 1),
                     (29, 0),
-                    (6, 15),
-                    (5, 34),
-                    (14, 27),
+                    (11, 19),
+                    (1, 10),
+                    (95, 10),
+                    (46, 30),
+                    (30, 95),
+                    (3, 77),
+                    (30, 0),
+                    (0, 14),
+                    (5, 60),
                 ],
-                14,
+                30,
             ),
             run(
                 &[
-                    (45, 12),
-                    (42, 6),
-                    (32, 108),
-                    (88, 92),
-                    (6, 8),
-                    (97, 6),
-                    (88, 6),
-                    (6, 50),
-                    (50, 15),
-                    (10, 3),
+                    (45, 11),
+                    (29, 4),
+                    (95, 0),
+                    (29, 21),
+                    (121, 10),
+                    (122, 46),
+                    (8, 26),
+                    (28, 60),
+                    (7, 84),
+                    (26, 29),
+                    (122, 28),
+                    (28, 0),
                 ],
-                0,
+                1,
             ),
         ],
-        trace: [0, 0, 1, 0, 0, 0, 0, 0, 0, 0]
+        trace: [0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1]
             .into_iter()
             .map(|best| (best, Some(128)))
             .collect(),

@@ -572,32 +572,6 @@ impl Region {
     pub fn feasible_point(&self) -> Option<Vec<f64>> {
         self.inner_sphere().map(|s| s.center().to_vec())
     }
-
-    /// Monte-Carlo estimate of the region's volume as a fraction of the
-    /// whole utility simplex: the acceptance rate of `n_samples` uniform
-    /// simplex samples against the half-space set.
-    ///
-    /// This is the quantity Lemma 5 reasons about (bigger fraction ⇒ more
-    /// sampled utility vectors land inside); it is also a useful progress
-    /// diagnostic — each informative answer should roughly halve it. The
-    /// estimate degrades for very small regions (the standard error of a
-    /// fraction `p` is `√(p(1−p)/n)`), which is exactly when the LP-based
-    /// summaries take over.
-    pub fn approx_volume_fraction<R: rand::Rng + ?Sized>(
-        &self,
-        n_samples: usize,
-        rng: &mut R,
-    ) -> f64 {
-        assert!(n_samples > 0, "volume estimate needs at least one sample");
-        let mut inside = 0usize;
-        for _ in 0..n_samples {
-            let u = crate::sampling::sample_simplex(self.dim, rng);
-            if self.halfspaces.iter().all(|h| h.contains(&u, 0.0)) {
-                inside += 1;
-            }
-        }
-        inside as f64 / n_samples as f64
-    }
 }
 
 #[cfg(test)]
@@ -680,41 +654,6 @@ mod tests {
         let r = Region::full(4);
         assert!(r.strict_margin(&[]).unwrap() > 0.0);
         assert!(r.has_interior());
-    }
-
-    #[test]
-    fn volume_fraction_of_full_simplex_is_one() {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        assert_eq!(Region::full(3).approx_volume_fraction(500, &mut rng), 1.0);
-    }
-
-    #[test]
-    fn volume_fraction_halves_under_a_median_cut() {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let mut r = Region::full(2);
-        r.add(Halfspace::new(vec![1.0, -1.0])); // u0 ≥ u1: half the segment
-        let f = r.approx_volume_fraction(4_000, &mut rng);
-        assert!((f - 0.5).abs() < 0.03, "fraction {f}");
-    }
-
-    #[test]
-    fn volume_fraction_shrinks_with_each_cut() {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let mut r = Region::full(3);
-        let mut prev = 1.0;
-        for h in [
-            Halfspace::new(vec![1.0, -1.0, 0.0]),
-            Halfspace::new(vec![0.0, 1.0, -1.0]),
-            Halfspace::new(vec![1.0, 0.2, -1.4]),
-        ] {
-            r.add(h);
-            let f = r.approx_volume_fraction(3_000, &mut rng);
-            assert!(f <= prev + 0.02, "volume grew: {prev} -> {f}");
-            prev = f;
-        }
     }
 
     #[test]

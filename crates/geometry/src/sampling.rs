@@ -5,13 +5,15 @@
 //! vectors. We provide
 //!
 //! * [`sample_simplex`] — exact uniform sampling of the standard simplex via
-//!   normalized exponentials (the Dirichlet(1,…,1) construction);
-//! * [`sample_region_rejection`] — uniform sampling of a sub-region of the
-//!   simplex by rejection, which is exact but degrades as the region shrinks;
-//! * [`sample_vertex_mixture`] — Dirichlet-weighted convex combinations of a
-//!   polytope's vertices, the documented fallback when rejection collapses.
-//!   It is not volume-uniform, but it preserves the only property Lemma 5
-//!   needs: regions occupying more of the polytope receive more samples.
+//!   normalized exponentials (the Dirichlet(1,…,1) construction), for
+//!   drawing users and anything else that ranges over the whole simplex;
+//! * [`hit_and_run`] — the one sampler for a learned region `R`: a chain
+//!   started at a strictly interior point the caller already holds (EA's
+//!   and the UH baselines' vertex centroid, the inner-sphere center
+//!   elsewhere) that mixes toward the uniform distribution on `R` however
+//!   small `R` has become. Every "draw k utilities from R" site runs it at
+//!   [`REGION_THIN`]; the sampled backend's cloud runs it at its own
+//!   configured thinning.
 
 use crate::hyperplane::Halfspace;
 use rand::Rng;
@@ -41,69 +43,10 @@ pub fn sample_simplex<R: Rng + ?Sized>(d: usize, rng: &mut R) -> Vec<f64> {
     }
 }
 
-/// Draws up to `count` utility vectors uniformly from the intersection of the
-/// simplex with the given half-spaces, by rejection from [`sample_simplex`].
-///
-/// Gives up after `budget` total proposals, so the returned vector may be
-/// shorter than `count` (possibly empty) when the region is small — callers
-/// fall back to [`sample_vertex_mixture`] in that case.
-pub fn sample_region_rejection<R: Rng + ?Sized>(
-    d: usize,
-    halfspaces: &[Halfspace],
-    count: usize,
-    budget: usize,
-    rng: &mut R,
-) -> Vec<Vec<f64>> {
-    let mut out = Vec::with_capacity(count);
-    let mut proposals = 0u64;
-    for _ in 0..budget {
-        if out.len() >= count {
-            break;
-        }
-        proposals += 1;
-        let u = sample_simplex(d, rng);
-        if halfspaces.iter().all(|h| h.contains(&u, 0.0)) {
-            out.push(u);
-        }
-    }
-    isrl_obs::add("sampling.rejection_proposals", proposals);
-    isrl_obs::add("sampling.rejection_accepted", out.len() as u64);
-    if out.len() < count {
-        isrl_obs::add("sampling.rejection_exhausted", 1);
-    }
-    out
-}
-
-/// Draws `count` points from the convex hull of `vertices` as Dirichlet(1)
-/// convex combinations. All returned points lie inside the polytope spanned
-/// by the vertices (hence inside any convex region containing them).
-///
-/// # Panics
-/// Panics if `vertices` is empty.
-pub fn sample_vertex_mixture<R: Rng + ?Sized>(
-    vertices: &[Vec<f64>],
-    count: usize,
-    rng: &mut R,
-) -> Vec<Vec<f64>> {
-    assert!(
-        !vertices.is_empty(),
-        "vertex mixture needs at least one vertex"
-    );
-    let d = vertices[0].len();
-    let k = vertices.len();
-    (0..count)
-        .map(|_| {
-            let w = sample_simplex(k, rng);
-            let mut p = vec![0.0; d];
-            for (wi, v) in w.iter().zip(vertices) {
-                for j in 0..d {
-                    p[j] += wi * v[j];
-                }
-            }
-            p
-        })
-        .collect()
-}
+/// Chain steps between emitted samples (and the burn-in length) for every
+/// per-round draw from a learned region: EA's and the UH baselines' extra
+/// samples of `V`, AA's pre-filter pool and the max-regret estimate.
+pub const REGION_THIN: usize = 2;
 
 /// Chain statistics of one [`hit_and_run_with_stats`] invocation, used by
 /// the sampled geometry backend to report acceptance counters.
@@ -163,16 +106,15 @@ pub fn hit_and_run_with_stats<R: Rng + ?Sized>(
     let mut out = Vec::with_capacity(count);
     let mut steps_until_emit = thin; // burn-in
     let mut stuck = 0u64;
+    let mut dir = vec![0.0; d];
 
     let mut step = |x: &mut Vec<f64>, rng: &mut R| {
         // Random direction in the Σ = 0 hyperplane.
-        let mut dir: Vec<f64> = (0..d)
-            .map(|_| {
-                let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                let u2: f64 = rng.gen_range(0.0..1.0);
-                (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-            })
-            .collect();
+        for v in dir.iter_mut() {
+            let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+            let u2: f64 = rng.gen_range(0.0..1.0);
+            *v = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+        }
         let mean = dir.iter().sum::<f64>() / d as f64;
         dir.iter_mut().for_each(|v| *v -= mean);
         let norm = dir.iter().map(|v| v * v).sum::<f64>().sqrt();
@@ -237,13 +179,6 @@ pub fn hit_and_run_with_stats<R: Rng + ?Sized>(
     (out, WalkStats { steps, stuck })
 }
 
-/// How many sampled vectors Lemma 5 prescribes for volume resolution `tau`
-/// and confidence `1 − delta`: `N = O((d + ln(1/δ)) / τ²)`.
-pub fn lemma5_sample_count(d: usize, tau: f64, delta: f64) -> usize {
-    assert!(tau > 0.0 && delta > 0.0 && delta < 1.0);
-    ((d as f64 + (1.0 / delta).ln()) / (tau * tau)).ceil() as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,58 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn rejection_respects_halfspaces() {
-        let mut rng = StdRng::seed_from_u64(3);
-        // Keep only u with u0 ≥ u1.
-        let h = Halfspace::new(vec![1.0, -1.0, 0.0]);
-        let samples = sample_region_rejection(3, std::slice::from_ref(&h), 100, 10_000, &mut rng);
-        assert!(!samples.is_empty());
-        for u in &samples {
-            assert!(u[0] >= u[1] - 1e-12);
-        }
-    }
-
-    #[test]
-    fn rejection_returns_empty_for_empty_region() {
-        let mut rng = StdRng::seed_from_u64(5);
-        // Contradictory half-spaces: u0 − u1 ≥ 0.5·Σu is impossible together
-        // with u1 − u0 ≥ 0.5·Σu.
-        let hs = vec![
-            Halfspace::new(vec![0.5, -1.5]),
-            Halfspace::new(vec![-1.5, 0.5]),
-        ];
-        let samples = sample_region_rejection(2, &hs, 10, 2_000, &mut rng);
-        assert!(samples.is_empty());
-    }
-
-    #[test]
-    fn vertex_mixture_stays_in_hull() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let vertices = vec![
-            vec![1.0, 0.0, 0.0],
-            vec![0.0, 1.0, 0.0],
-            vec![0.0, 0.0, 1.0],
-        ];
-        for p in sample_vertex_mixture(&vertices, 200, &mut rng) {
-            assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-            assert!(p.iter().all(|&x| x >= -1e-12));
-        }
-    }
-
-    #[test]
-    fn vertex_mixture_volume_monotonicity() {
-        // The property Lemma 5 needs: a half of the triangle receives about
-        // half of the mixture samples (Dirichlet(1) over 3 vertices is
-        // uniform on the triangle, so this is exact here).
-        let mut rng = StdRng::seed_from_u64(17);
-        let vertices = vec![vec![1.0, 0.0], vec![0.0, 1.0], vec![0.5, 0.5]];
-        let samples = sample_vertex_mixture(&vertices, 4_000, &mut rng);
-        let left = samples.iter().filter(|p| p[0] >= 0.5).count() as f64;
-        let frac = left / samples.len() as f64;
-        assert!((frac - 0.5).abs() < 0.05, "frac {frac}");
-    }
-
-    #[test]
     fn hit_and_run_stays_in_region() {
         let mut rng = StdRng::seed_from_u64(23);
         let hs = vec![Halfspace::new(vec![1.0, -1.0, 0.0, 0.0])]; // u0 ≥ u1
@@ -340,6 +223,40 @@ mod tests {
             assert!(u.iter().all(|&x| x >= -1e-12));
             assert!(u[0] >= u[1] - 1e-9, "halfspace violated: {u:?}");
         }
+
+        // A region far below 1% of the simplex (u0 ≥ 0.8·Σu, u1 ≥ 0.1·Σu,
+        // u2 ≥ 0.02·Σu: the simplex scaled by 0.08, volume 0.08³ ≈ 0.05%),
+        // where a rejection draw from the whole simplex would underfill.
+        // Started at its vertex centroid, the chain still returns exactly
+        // `count` in-region points and never sticks.
+        let hs = vec![
+            Halfspace::new(vec![0.2, -0.8, -0.8, -0.8]),
+            Halfspace::new(vec![-0.1, 0.9, -0.1, -0.1]),
+            Halfspace::new(vec![-0.02, -0.02, 0.98, -0.02]),
+        ];
+        let vertices = [
+            [0.88, 0.1, 0.02, 0.0],
+            [0.8, 0.18, 0.02, 0.0],
+            [0.8, 0.1, 0.1, 0.0],
+            [0.8, 0.1, 0.02, 0.08],
+        ];
+        let start: Vec<f64> = (0..4)
+            .map(|j| vertices.iter().map(|v| v[j]).sum::<f64>() / 4.0)
+            .collect();
+        let sink = isrl_obs::Sink::new();
+        sink.set_enabled(true);
+        let samples = isrl_obs::with_sink(&sink, || {
+            hit_and_run(4, &hs, &start, 200, REGION_THIN, &mut rng)
+        });
+        assert_eq!(samples.len(), 200);
+        for u in &samples {
+            assert!(u.iter().all(|&x| x >= -1e-9), "off the simplex: {u:?}");
+            for h in &hs {
+                assert!(h.contains(u, 1e-9), "halfspace violated: {u:?}");
+            }
+        }
+        assert_eq!(sink.counter_value("sampling.hitrun_samples"), 200);
+        assert_eq!(sink.counter_value("sampling.hitrun_stuck"), 0);
     }
 
     #[test]
@@ -363,12 +280,5 @@ mod tests {
         let samples = hit_and_run(2, &hs, &[0.7, 0.3], 4_000, 2, &mut rng);
         let mean: f64 = samples.iter().map(|u| u[0]).sum::<f64>() / samples.len() as f64;
         assert!((mean - 0.75).abs() < 0.03, "mean {mean}");
-    }
-
-    #[test]
-    fn lemma5_count_grows_with_dimension_and_shrinks_with_tau() {
-        let base = lemma5_sample_count(4, 0.1, 0.05);
-        assert!(lemma5_sample_count(20, 0.1, 0.05) > base);
-        assert!(lemma5_sample_count(4, 0.2, 0.05) < base);
     }
 }

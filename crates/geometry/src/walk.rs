@@ -15,9 +15,8 @@
 //! satisfy a new half-space are kept as-is (a uniform sample of the old
 //! region, conditioned on lying in the new sub-region, is a uniform sample
 //! of the new region), and only the violated points are resampled by
-//! fresh chain segments from the new interior point. At low dimension the
-//! initial fill goes through exact rejection sampling first (uniform by
-//! construction) and tops up with the chain only on shortfall.
+//! fresh chain segments from the new interior point. The initial fill runs
+//! the same chain.
 
 use crate::hyperplane::Halfspace;
 use crate::rectangle::Rectangle;
@@ -36,11 +35,6 @@ pub struct WalkConfig {
     /// Chain steps between emitted points; doubles as the burn-in length
     /// of each fresh chain segment.
     pub thin: usize,
-    /// Dimension at or below which the *initial* fill tries exact
-    /// rejection sampling before falling back to the chain (rejection is
-    /// uniform by construction but its acceptance rate collapses with
-    /// dimension).
-    pub rejection_dim_max: usize,
 }
 
 impl Default for WalkConfig {
@@ -48,7 +42,6 @@ impl Default for WalkConfig {
         Self {
             n_points: 128,
             thin: 8,
-            rejection_dim_max: 8,
         }
     }
 }
@@ -91,25 +84,10 @@ impl SampleCloud {
             cfg,
             rng: StdRng::seed_from_u64(seed),
             interior,
-            points: Vec::with_capacity(cfg.n_points),
+            points: Vec::new(),
             anchors: Vec::new(),
         };
-        let mut points = if dim <= cfg.rejection_dim_max {
-            sampling::sample_region_rejection(
-                dim,
-                region.halfspaces(),
-                cfg.n_points,
-                cfg.n_points * 8,
-                &mut cloud.rng,
-            )
-        } else {
-            Vec::new()
-        };
-        let shortfall = cfg.n_points - points.len();
-        if shortfall > 0 {
-            points.extend(cloud.walk(region.halfspaces(), shortfall));
-        }
-        cloud.points = points;
+        cloud.points = cloud.walk(region.halfspaces(), cfg.n_points);
         cloud
     }
 

@@ -88,7 +88,7 @@ proptest! {
         d in 2usize..=10,
         cuts in 1usize..=8,
     ) {
-        let cfg = WalkConfig { n_points: 32, thin: 4, rejection_dim_max: 8 };
+        let cfg = WalkConfig { n_points: 32, thin: 4 };
         let mut geom = RegionGeometry::sampled(d, cfg, seed);
         prop_assert!(geom.is_sampled());
         for h in feasible_cuts(d, cuts, seed ^ 0x51ce) {
@@ -117,7 +117,7 @@ proptest! {
         d in 2usize..=10,
         cuts in 0usize..=6,
     ) {
-        let cfg = WalkConfig { n_points: 24, thin: 4, rejection_dim_max: 8 };
+        let cfg = WalkConfig { n_points: 24, thin: 4 };
         let build = |s: u64| {
             let mut geom = RegionGeometry::sampled(d, cfg, s);
             for h in feasible_cuts(d, cuts, seed ^ 0xf1d0) {

@@ -10,15 +10,14 @@ use std::collections::BTreeMap;
 use crate::json::{parse, Json};
 
 /// Counters that indicate silent degradation when nonzero: LP iteration
-/// caps (phase 1 or 2), EA's vertex-mixture sampling fallback, events lost
-/// to the bounded buffer (an incomplete trace must not pass quietly),
-/// training anomalies flagged by the watchdog (NaN/exploding loss, epsilon
-/// stall, replay starvation), and span paths truncated by the depth/length
-/// bounds.
+/// caps (phase 1 or 2), training anomalies flagged by the watchdog
+/// (NaN/exploding loss, epsilon stall, replay starvation), scans whose
+/// scores were all NaN, events lost to the bounded buffer (an incomplete
+/// trace must not pass quietly), and span paths truncated by the
+/// depth/length bounds.
 pub const WARNING_COUNTERS: &[&str] = &[
     "lp.cap_hits",
     "lp.phase1_cap_hits",
-    "ea.sample_fallbacks",
     "train.anomalies",
     "scan.top1_nan",
     crate::event::DROPPED_COUNTER,
